@@ -53,6 +53,14 @@ Workload make_dijkstra(int nodes = 16);
 std::vector<Workload> all_workloads(int sha_dim, int aes_iters, int dct_dim,
                                     int dijkstra_nodes);
 
+/// Seeded straight-line MiniC program: one `main` with `statements`
+/// compound assignments, array loads/stores and out() calls over 16
+/// run-time-seeded variables, all emitted with out() at the end. The
+/// compile-bound input of the scheduler's golden digests and scaling
+/// benchmarks; it has no native golden (the IR interpreter is its
+/// oracle). The same seed always yields the same text.
+std::string make_straight_line(std::uint64_t seed, int statements);
+
 // ---- native reference primitives (exposed for validation tests) ----
 
 /// SHA-256 digest of a byte string.
