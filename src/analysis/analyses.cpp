@@ -311,16 +311,25 @@ struct CopyProblem {
         killed_by[site.src.reg].push_back(static_cast<int>(s));
       }
     }
+    // Linear in defs + sites: only a block's first def of a vreg walks
+    // all the vreg's sites. A later def can change only the sites
+    // generated since the previous one, which gen_by lists under each
+    // vreg the site mentions.
+    std::vector<std::size_t> first_def_in(fn.next_vreg, nb);
+    std::vector<std::vector<int>> gen_by(fn.next_vreg);
     for (std::size_t b = 0; b < nb; ++b) {
       BitRow g = gen.row(b);
       BitRow k = kill.row(b);
       for (const IrInst& inst : fn.blocks[b].insts) {
         const VReg d = def_of(inst);
         if (d == ir::kNoVReg) continue;
-        for (int s : killed_by[d]) {
+        const bool first = first_def_in[d] != b;
+        first_def_in[d] = b;
+        for (int s : first ? killed_by[d] : gen_by[d]) {
           k.set(s);
           g.reset(s);
         }
+        gen_by[d].clear();
         // Every occurrence of the (dst, src) fact generates the same
         // shared site, so the fact survives an all-paths join even when
         // each path establishes it with a different instruction.
@@ -329,6 +338,9 @@ struct CopyProblem {
           if (it != fact_site.end()) {
             g.set(it->second);
             k.reset(it->second);
+            const AvailableCopies::Site& site = ac.sites[it->second];
+            gen_by[site.dst].push_back(it->second);
+            if (site.src.is_reg()) gen_by[site.src.reg].push_back(it->second);
           }
         }
       }

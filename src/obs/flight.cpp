@@ -29,10 +29,13 @@ struct FlightRing {
 
 struct FlightState {
   std::mutex mu;
-  // Rings are owned here and never destroyed or reused: a cached
-  // per-thread pointer stays valid after its thread dies, and a dead
-  // worker's last events survive for post-mortem dumps.
+  // Rings are owned here and never destroyed. A thread's ring goes to
+  // `idle` when the thread exits and the next new thread reuses it, so
+  // the count is bounded by the most threads ever recording at once
+  // (not by every thread a long run starts). A dead worker's last
+  // events stay dumpable until its ring is reused.
   std::vector<std::unique_ptr<FlightRing>> rings;
+  std::vector<FlightRing*> idle;
   std::string fault_path;
 };
 
@@ -42,16 +45,38 @@ FlightState& state() {
   return *s;
 }
 
-FlightRing& this_thread_ring() {
-  static thread_local FlightRing* ring = [] {
-    auto owned = std::make_unique<FlightRing>();
-    FlightRing* raw = owned.get();
+// The calling thread's hold on a ring, taken on its first event and
+// handed back at thread exit. Events recorded after the hand-back (from
+// later thread-exit destructors) are dropped rather than leaking a ring.
+struct RingLease {
+  FlightRing* ring = nullptr;
+  bool returned = false;
+  ~RingLease() {
+    returned = true;
+    if (ring == nullptr) return;
     FlightState& st = state();
     std::lock_guard<std::mutex> lock(st.mu);
-    st.rings.push_back(std::move(owned));
-    return raw;
-  }();
-  return *ring;
+    st.idle.push_back(ring);
+    ring = nullptr;
+  }
+};
+
+thread_local RingLease t_lease;
+
+FlightRing* this_thread_ring() {
+  RingLease& lease = t_lease;
+  if (lease.ring != nullptr || lease.returned) return lease.ring;
+  FlightState& st = state();
+  std::lock_guard<std::mutex> lock(st.mu);
+  if (st.idle.empty()) {
+    st.rings.push_back(std::make_unique<FlightRing>());
+    lease.ring = st.rings.back().get();
+  } else {
+    lease.ring = st.idle.back();
+    st.idle.pop_back();
+    lease.ring->seq.store(0, std::memory_order_relaxed);  // a fresh ring
+  }
+  return lease.ring;
 }
 
 }  // namespace
@@ -72,7 +97,9 @@ void set_flight_enabled(bool on) {
 void flight_record(FlightEvent::Kind kind, std::string_view name,
                    std::uint64_t value, std::uint64_t ts_ns) {
   if (!flight_enabled()) return;
-  FlightRing& ring = this_thread_ring();
+  FlightRing* const owned = this_thread_ring();
+  if (owned == nullptr) return;
+  FlightRing& ring = *owned;
   const std::uint64_t seq = ring.seq.load(std::memory_order_relaxed);
   FlightEvent& e = ring.slots[seq & (kFlightCapacity - 1)];
   e.ts_ns = ts_ns != 0 ? ts_ns : now_ns();
@@ -228,6 +255,12 @@ std::string flight_trace_json() {
 
 void write_flight_json(const std::string& path) {
   detail::write_text_file(path, flight_trace_json());
+}
+
+std::size_t flight_ring_count() {
+  FlightState& st = state();
+  std::lock_guard<std::mutex> lock(st.mu);
+  return st.rings.size();
 }
 
 void flight_reset() {

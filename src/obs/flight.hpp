@@ -5,7 +5,9 @@
 // default and stays on in release builds: recording an event is a
 // timestamp read plus a POD store into a preallocated ring slot (names
 // are truncated into a fixed char buffer — no allocation, no locks
-// after a thread's first event registers its ring).  When something
+// after a thread's first event leases its ring).  A ring is reused
+// after thread exit: the next new thread takes it over, so the ring
+// count tracks the most threads recording at once.  When something
 // faults, the last ~kFlightCapacity events per thread are still there:
 // `flight_record_fault()` stamps the fault and, when a dump path was
 // configured (tools' shared `--flight-out` flag), writes the merged
@@ -19,6 +21,7 @@
 // still exactly one relaxed load.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -50,8 +53,10 @@ bool flight_enabled();
 void set_flight_enabled(bool on);
 
 /// Record one event into the calling thread's ring. No-op while
-/// disabled. The first event on a thread allocates & registers its
-/// ring; after that the call never allocates. `ts_ns` of 0 (the
+/// disabled. The first event on a thread leases it a ring — one an
+/// exited thread handed back, else a new one; after that the call never
+/// allocates. The lease ends at thread exit; until a new thread reuses
+/// the ring, the dead thread's events stay in dumps. `ts_ns` of 0 (the
 /// default) stamps the current clock; tests pass explicit timestamps
 /// for deterministic dumps.
 void flight_record(FlightEvent::Kind kind, std::string_view name,
@@ -79,8 +84,12 @@ std::string flight_trace_json();
 /// failure).
 void write_flight_json(const std::string& path);
 
+/// Rings allocated so far: at most the peak number of threads that
+/// recorded at the same time, since exited threads' rings are reused.
+std::size_t flight_ring_count();
+
 /// Tests only: zero every ring (slots become unreachable), clear the
-/// fault path and re-enable recording. Rings stay allocated so cached
+/// fault path and re-enable recording. Rings stay allocated so leased
 /// per-thread pointers never dangle.
 void flight_reset();
 

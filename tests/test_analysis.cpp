@@ -350,6 +350,35 @@ int main(%1) frame=0 {
             "  .b1: in={%1=#3}\n");
 }
 
+TEST(AvailableCopies, EveryRedefInABlockKillsTheCopiesMadeSince) {
+  // Only a block's first def of a vreg kills all of the vreg's facts;
+  // each later def must still kill the facts generated in between, on
+  // the destination side (%3) and on the source side (%2).
+  const ir::Module m = parse(R"(
+int main(%1, %2) frame=0 {
+.b0:
+  %3 = add %1, 1
+  %3 = %1
+  %3 = add %3, 1
+  %4 = %2
+  %2 = add %2, 1
+  %4 = %2
+  %2 = add %2, 2
+  %5 = %1
+  br .b1
+.b1:
+  ret %3
+}
+)");
+  const ir::Function& fn = m.functions[0];
+  const AvailableCopies ac =
+      compute_available_copies(fn, Cfg::build(fn));
+  EXPECT_EQ(ac.to_string(fn),
+            "available-copies @main\n"
+            "  .b0: in={}\n"
+            "  .b1: in={%5=%1}\n");
+}
+
 // ---------------------------------------------------------------------
 // Intervals
 

@@ -502,6 +502,38 @@ TEST(FlightRecorder, FaultDumpValidatesAgainstCheckedInSchema) {
   std::remove(path.c_str());
 }
 
+TEST(FlightRecorder, ExitedThreadsHandTheirRingsToNewThreads) {
+  ObsFixture fx(false);
+  // A dead thread's events stay dumpable until its ring is reused.
+  std::thread([] {
+    obs::flight_record(obs::FlightEvent::kInstant, "last-words", 0, 1);
+  }).join();
+  EXPECT_EQ(count_events(obs::json::parse(obs::flight_trace_json()),
+                         "last-words"),
+            1u);
+  // Sequential 4-worker pools, as one service per request starts them:
+  // each pool's workers reuse the rings the previous pool's left behind,
+  // so the count stays at the peak of live threads (4 workers plus this
+  // one), not one ring per thread ever started.
+  obs::flight_record(obs::FlightEvent::kInstant, "main", 0, 1);
+  const std::size_t before = obs::flight_ring_count();
+  for (int pass = 0; pass < 16; ++pass) {
+    pipeline::ThreadPool pool(4);
+    std::atomic<int> started{0};
+    for (int t = 0; t < 4; ++t) {
+      pool.submit([&started] {
+        obs::flight_record(obs::FlightEvent::kInstant, "task", 0, 1);
+        // Hold each worker until all four have recorded, so all four
+        // threads own a ring at the same time.
+        started.fetch_add(1);
+        while (started.load() < 4) std::this_thread::yield();
+      });
+    }
+    pool.wait();
+  }
+  EXPECT_LE(obs::flight_ring_count(), std::max<std::size_t>(before, 5));
+}
+
 TEST(FlightRecorder, RecordingDoesNotAllocateAfterRingWarmup) {
 #if defined(CEPIC_TEST_ASAN)
   GTEST_SKIP() << "allocation counting is unreliable under ASan";
