@@ -96,6 +96,10 @@ struct E2eConfig {
   bool if_convert;
 };
 
+// Without this, gtest prints the param as raw bytes, pointer and padding
+// included, so the discovered CTest names would change with every build.
+void PrintTo(const E2eConfig& config, std::ostream* os) { *os << config.name; }
+
 class E2eEpic : public ::testing::TestWithParam<E2eConfig> {};
 
 TEST_P(E2eEpic, MatchesInterpreterOnCorpus) {

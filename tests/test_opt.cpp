@@ -288,6 +288,10 @@ struct PassCombo {
   opt::OptOptions options;
 };
 
+// Without this, gtest prints the param as raw bytes, pointer and padding
+// included, so the discovered CTest names would change with every build.
+void PrintTo(const PassCombo& combo, std::ostream* os) { *os << combo.name; }
+
 class OptProperty : public ::testing::TestWithParam<PassCombo> {};
 
 const char* kCorpus[] = {
