@@ -11,6 +11,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -104,6 +105,14 @@ public:
     return *this;
   }
 
+  /// A valueless switch with an arbitrary handler, applied in argv order.
+  OptionTable& flag(std::string name, std::string help,
+                    std::function<void()> apply) {
+    specs_.push_back({std::move(name), "", std::move(help),
+                      [apply](const std::string&) { apply(); }, false});
+    return *this;
+  }
+
   /// A string-valued option: `--name META`.
   OptionTable& str(std::string name, std::string meta, std::string help,
                    std::string* out) {
@@ -142,6 +151,24 @@ public:
                         *out = static_cast<std::uint64_t>(parsed);
                       },
                       true});
+    return *this;
+  }
+
+  /// A positive integer option that fits in an int.
+  OptionTable& int_positive(std::string name, std::string meta,
+                            std::string help, int* out) {
+    std::string flag_name = name;
+    specs_.push_back(
+        {std::move(name), std::move(meta), std::move(help),
+         [out, flag_name](const std::string& v) {
+           constexpr int kMax = std::numeric_limits<int>::max();
+           std::int64_t parsed = 0;
+           if (!parse_int(v, parsed) || parsed <= 0 || parsed > kMax) {
+             throw Error(cat(flag_name, " needs an integer in 1..", kMax));
+           }
+           *out = static_cast<int>(parsed);
+         },
+         true});
     return *this;
   }
 
