@@ -15,7 +15,7 @@
 #include <utility>
 #include <vector>
 
-#include "opt/cfg.hpp"
+#include "analysis/cfg.hpp"
 #include "opt/opt.hpp"
 
 namespace cepic::opt {
@@ -75,7 +75,7 @@ private:
 bool propagate_block(ir::BasicBlock& block, CopyMap& copies) {
   bool changed = false;
   for (IrInst& inst : block.insts) {
-    for_each_use(inst, [&](Value& v) {
+    analysis::for_each_use(inst, [&](Value& v) {
       const Value resolved = copies.resolve(v);
       if (!(resolved == v)) {
         v = resolved;
@@ -91,7 +91,7 @@ bool propagate_block(ir::BasicBlock& block, CopyMap& copies) {
         changed = true;
       }
     }
-    const VReg d = def_of(inst);
+    const VReg d = analysis::def_of(inst);
     if (d != ir::kNoVReg) {
       copies.kill(d);
       if (inst.op == IrOp::Mov && inst.guard == ir::kNoVReg) {

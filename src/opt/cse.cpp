@@ -18,7 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "opt/cfg.hpp"
+#include "analysis/cfg.hpp"
 #include "opt/opt.hpp"
 #include "support/bits.hpp"
 
@@ -170,7 +170,7 @@ bool cse_block(ir::BasicBlock& block, Table& table) {
       }
     }
 
-    const VReg d = def_of(inst);
+    const VReg d = analysis::def_of(inst);
     if (d != ir::kNoVReg) {
       table.kill(d);
       if (cse_eligible(inst) && inst.op != IrOp::Mov) table.insert(inst);

@@ -4,7 +4,7 @@
 #include <map>
 #include <set>
 
-#include "opt/cfg.hpp"
+#include "analysis/cfg.hpp"
 #include "support/text.hpp"
 
 namespace cepic::opt {
@@ -25,7 +25,9 @@ std::vector<unsigned> loop_depth(const ir::Function& fn) {
   // use reachability-based membership per header.
   const std::size_t nb = fn.blocks.size();
   std::vector<std::vector<int>> succ(nb);
-  for (std::size_t b = 0; b < nb; ++b) succ[b] = successors(fn.blocks[b]);
+  for (std::size_t b = 0; b < nb; ++b) {
+    succ[b] = analysis::successors(fn.blocks[b]);
+  }
 
   // Find headers: targets of back edges in DFS.
   std::vector<int> state(nb, 0);  // 0 unvisited, 1 on stack, 2 done
@@ -100,7 +102,7 @@ std::map<VReg, int> use_counts(const ir::Function& fn) {
   std::map<VReg, int> uses;
   for (const ir::BasicBlock& block : fn.blocks) {
     for (const IrInst& inst : block.insts) {
-      for_each_use(inst, [&](const ir::Value& v) {
+      analysis::for_each_use(inst, [&](const ir::Value& v) {
         if (v.is_reg()) ++uses[v.reg];
       });
       if (inst.guard != ir::kNoVReg) ++uses[inst.guard];
@@ -152,7 +154,7 @@ std::vector<CustomCandidate> find_custom_candidates(
 
         // --- generic single-use producer -> consumer pairs ---
         if (ir::is_binary_alu(inst.op)) {
-          for_each_use(inst, [&](const ir::Value& v) {
+          analysis::for_each_use(inst, [&](const ir::Value& v) {
             if (!v.is_reg() || !single_use(v.reg)) return;
             const auto it = def_at.find(v.reg);
             if (it == def_at.end()) return;
@@ -174,7 +176,7 @@ std::vector<CustomCandidate> find_custom_candidates(
           });
         }
 
-        const VReg d = def_of(inst);
+        const VReg d = analysis::def_of(inst);
         if (d != ir::kNoVReg) {
           if (inst.guard == ir::kNoVReg) {
             def_at[d] = i;

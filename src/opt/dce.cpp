@@ -10,7 +10,8 @@
 // snapshot taken when this pass last ran (driver-owned DceState).
 #include <vector>
 
-#include "opt/cfg.hpp"
+#include "analysis/analyses.hpp"
+#include "analysis/cfg.hpp"
 #include "opt/opt.hpp"
 
 namespace cepic::opt {
@@ -31,13 +32,13 @@ bool sweep_block(ir::BasicBlock& block, const analysis::BitSet& live_out) {
   std::vector<bool> dead(block.insts.size(), false);
   for (std::size_t i = block.insts.size(); i-- > 0;) {
     const IrInst& inst = block.insts[i];
-    const VReg d = def_of(inst);
+    const VReg d = analysis::def_of(inst);
     if (removable(inst) && d != ir::kNoVReg && !live.test(d)) {
       dead[i] = true;
       continue;  // its uses do not become live
     }
     if (d != ir::kNoVReg && inst.guard == ir::kNoVReg) live.reset(d);
-    for_each_use(inst, [&](const ir::Value& v) {
+    analysis::for_each_use(inst, [&](const ir::Value& v) {
       if (v.is_reg()) live.set(v.reg);
     });
     if (inst.guard != ir::kNoVReg) live.set(inst.guard);

@@ -8,7 +8,7 @@
 // Correctness in the non-SSA IR: a guarded write preserves the old value
 // when the guard is false, which is exactly the value the skipped path
 // would have observed.
-#include "opt/cfg.hpp"
+#include "analysis/cfg.hpp"
 #include "opt/opt.hpp"
 
 namespace cepic::opt {
@@ -39,7 +39,7 @@ bool convertible_arm(const BasicBlock& block, int max_ops, int& join_out) {
 /// Does the block define `v` (unguarded or guarded)?
 bool defines(const BasicBlock& block, VReg v) {
   for (const IrInst& inst : block.insts) {
-    if (def_of(inst) == v) return true;
+    if (analysis::def_of(inst) == v) return true;
   }
   return false;
 }
@@ -58,7 +58,7 @@ void append_guarded(BasicBlock& dst, const BasicBlock& arm, VReg guard,
 
 bool pass_if_convert(ir::Function& fn, int max_ops) {
   bool changed = false;
-  const auto preds = predecessors(fn);
+  const auto preds = analysis::predecessors(fn);
 
   for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
     BasicBlock& block = fn.blocks[b];

@@ -2,7 +2,7 @@
 // small enough is cloned into the caller. Run inside the pass pipeline,
 // successive rounds collapse deeper call chains (a caller whose calls
 // were all inlined becomes a leaf for the next round).
-#include "opt/cfg.hpp"
+#include "analysis/cfg.hpp"
 #include "opt/opt.hpp"
 
 namespace cepic::opt {
@@ -75,7 +75,7 @@ void inline_at(Function& caller, int bi, std::size_t ii,
     for (const IrInst& src : cb.insts) {
       IrInst inst = src;
       if (ir::has_dst(inst)) inst.dst = map_vreg(inst.dst);
-      for_each_use(inst, [&](Value& v) {
+      analysis::for_each_use(inst, [&](Value& v) {
         if (v.is_reg()) v.reg = map_vreg(v.reg);
       });
       if (inst.guard != ir::kNoVReg) inst.guard = map_vreg(inst.guard);

@@ -16,7 +16,8 @@
 //    around a zero-trip execution) nor live into the loop exit.
 #include <set>
 
-#include "opt/cfg.hpp"
+#include "analysis/analyses.hpp"
+#include "analysis/cfg.hpp"
 #include "opt/opt.hpp"
 
 namespace cepic::opt {
@@ -77,17 +78,17 @@ std::vector<Loop> find_loops(const ir::Function& fn,
 
 bool pass_licm(ir::Function& fn) {
   bool changed = false;
-  const auto preds = predecessors(fn);
+  const auto preds = analysis::predecessors(fn);
   const std::vector<Loop> loops = find_loops(fn, preds);
   if (loops.empty()) return false;
-  const Liveness lv = compute_liveness(fn);
+  const analysis::Liveness lv = analysis::compute_liveness(fn);
 
   for (const Loop& loop : loops) {
     // Registers defined anywhere in the loop, with def counts.
     std::map<VReg, int> def_count;
     for (int b : {loop.header, loop.body}) {
       for (const IrInst& inst : fn.blocks[b].insts) {
-        const VReg d = def_of(inst);
+        const VReg d = analysis::def_of(inst);
         if (d != ir::kNoVReg) ++def_count[d];
       }
     }
@@ -106,7 +107,7 @@ bool pass_licm(ir::Function& fn) {
         if (lv.live_in[loop.header].test(d)) continue;
         if (lv.live_in[loop.exit].test(d)) continue;
         bool invariant = true;
-        for_each_use(inst, [&](const ir::Value& v) {
+        analysis::for_each_use(inst, [&](const ir::Value& v) {
           if (v.is_reg() && def_count.count(v.reg) != 0 &&
               hoisted_defs.count(v.reg) == 0) {
             invariant = false;

@@ -10,7 +10,7 @@
 // of a freshly heap-built Cfg per round.
 #include <algorithm>
 
-#include "opt/cfg.hpp"
+#include "analysis/cfg.hpp"
 #include "opt/opt.hpp"
 #include "support/arena.hpp"
 

@@ -9,15 +9,19 @@
 #include <fstream>
 #include <thread>
 
-#include "pipeline/pipeline.hpp"
-#include "explore/cache.hpp"
 #include "explore/explore.hpp"
 #include "explore/sweep.hpp"
-#include "explore/thread_pool.hpp"
+#include "pipeline/pipeline.hpp"
+#include "pipeline/result_cache.hpp"
+#include "pipeline/thread_pool.hpp"
 #include "support/text.hpp"
 
 namespace cepic::explore {
 namespace {
+
+using pipeline::CacheEntry;
+using pipeline::ResultCache;
+using pipeline::ThreadPool;
 
 // ---------------------------------------------------------------- pool
 

@@ -8,7 +8,6 @@
 
 #include "frontend/irgen.hpp"
 #include "ir/interp.hpp"
-#include "opt/cfg.hpp"
 #include "opt/opt.hpp"
 
 namespace cepic {
