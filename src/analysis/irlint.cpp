@@ -18,27 +18,6 @@ constexpr std::string_view kRuleIds[kNumLintRules] = {
     "ir.guard-false",    "ir.const-branch",  "ir.global-oob",
 };
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += cat("\\u00", "0123456789abcdef"[(c >> 4) & 0xf],
-                     "0123456789abcdef"[c & 0xf]);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 class FunctionLinter {
  public:
   FunctionLinter(const ir::Module& module, const ir::Function& fn,

@@ -13,18 +13,6 @@ namespace cepic::analysis {
 
 namespace {
 
-RegFile file_of_src(SrcSpec spec) {
-  switch (spec) {
-    case SrcSpec::Gpr:
-    case SrcSpec::GprOrLit: return RegFile::Gpr;
-    case SrcSpec::Pred: return RegFile::Pred;
-    case SrcSpec::Btr: return RegFile::Btr;
-    case SrcSpec::None:
-    case SrcSpec::LitOnly: return RegFile::None;
-  }
-  return RegFile::None;
-}
-
 /// The walker: a faithful re-statement of the simulator's interpretive
 /// timing rules (sim/simulator.cpp step_interpretive + finish_step) over
 /// three-valued register contents — known words or "unknown" (memory
@@ -99,7 +87,7 @@ struct Walker {
       return {mask_to_width(static_cast<std::uint32_t>(o.lit), width), true};
     }
     if (!o.is_reg()) return {0, true};
-    switch (file_of_src(spec)) {
+    switch (reg_file(spec)) {
       case RegFile::Gpr:
         if (o.reg == 0) return {0, true};
         return {gprs[o.reg], gpr_known[o.reg] != 0};
@@ -161,11 +149,11 @@ struct Walker {
       issue = std::max(issue, ready_cycle(RegFile::Pred, inst.pred));
       if (inst.src1.is_reg()) {
         issue =
-            std::max(issue, ready_cycle(file_of_src(info.src1), inst.src1.reg));
+            std::max(issue, ready_cycle(reg_file(info.src1), inst.src1.reg));
       }
       if (inst.src2.is_reg()) {
         issue =
-            std::max(issue, ready_cycle(file_of_src(info.src2), inst.src2.reg));
+            std::max(issue, ready_cycle(reg_file(info.src2), inst.src2.reg));
       }
       if (info.dest1_is_source) {
         issue = std::max(issue, ready_cycle(RegFile::Gpr, inst.dest1));
@@ -186,10 +174,10 @@ struct Walker {
       for (const Instruction& inst : bundle) {
         if (inst.is_nop()) continue;
         const OpInfo& info = inst.info();
-        if (inst.src1.is_reg() && file_of_src(info.src1) == RegFile::Gpr) {
+        if (inst.src1.is_reg() && reg_file(info.src1) == RegFile::Gpr) {
           count_read(inst.src1.reg);
         }
-        if (inst.src2.is_reg() && file_of_src(info.src2) == RegFile::Gpr) {
+        if (inst.src2.is_reg() && reg_file(info.src2) == RegFile::Gpr) {
           count_read(inst.src2.reg);
         }
         if (info.dest1_is_source) count_read(inst.dest1);
@@ -520,11 +508,11 @@ StaticCycleReport predict_cycles(const Program& program,
       max_lat = std::max<std::uint64_t>(max_lat, mdes.latency(inst.op));
       any_branch |= info.is_branch;
       any_mem |= info.is_mem() && inst.op != Op::OUT;
-      if (inst.src1.is_reg() && file_of_src(info.src1) == RegFile::Gpr &&
+      if (inst.src1.is_reg() && reg_file(info.src1) == RegFile::Gpr &&
           inst.src1.reg != 0) {
         ++ports;
       }
-      if (inst.src2.is_reg() && file_of_src(info.src2) == RegFile::Gpr &&
+      if (inst.src2.is_reg() && reg_file(info.src2) == RegFile::Gpr &&
           inst.src2.reg != 0) {
         ++ports;
       }
@@ -549,6 +537,14 @@ StaticCycleReport predict_cycles(const Program& program,
     report.reason = cat("issue_width ", program.config.issue_width,
                         " exceeds the bundle-width histogram range 0..",
                         SimStats::kMaxBundleWidth);
+    return report;
+  }
+
+  // The simulator refuses such a program at construction, before the
+  // first bundle; the walk indexes register arrays by these fields.
+  if (std::string fault = register_range_fault(program); !fault.empty()) {
+    report.fault = true;
+    report.reason = std::move(fault);
     return report;
   }
 

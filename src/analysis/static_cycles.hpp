@@ -8,8 +8,9 @@
 // When a branch, guard, BTR target or memory address depends on an
 // unknown value the walk stops and only the per-bundle worst-case bound
 // below applies.  Statically-resolved faults (unsupported op, branch
-// past end, null-guard / out-of-range / misaligned access) are
-// predicted with the simulator's exact fault text.
+// past end, null-guard / out-of-range / misaligned access, and a
+// register index past the end of its file, which the simulator refuses
+// at construction) are predicted with the simulator's exact fault text.
 //
 // Bound contract (valid for every terminating run, any input state):
 //

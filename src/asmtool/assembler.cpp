@@ -223,23 +223,13 @@ private:
     error(cat("cannot parse operand `", std::string(text), "`"));
   }
 
-  char file_letter(RegFile f) {
-    switch (f) {
-      case RegFile::Gpr: return 'r';
-      case RegFile::Pred: return 'p';
-      case RegFile::Btr: return 'b';
-      case RegFile::None: break;
-    }
-    return '?';
-  }
-
   std::uint32_t expect_reg(const ParsedOperand& op, RegFile file,
                            const char* slot) {
     if (op.kind != ParsedOperand::Kind::Reg) {
       error(cat(slot, ": expected a register"));
     }
-    if (op.reg_file != file_letter(file)) {
-      error(cat(slot, ": expected `", std::string(1, file_letter(file)),
+    if (op.reg_file != reg_prefix(file)) {
+      error(cat(slot, ": expected `", std::string(1, reg_prefix(file)),
                 "` register, got `", std::string(1, op.reg_file), "`"));
     }
     return op.reg;

@@ -24,16 +24,6 @@ struct RegRef {
   bool guarded = false;  ///< guarded defs do not kill liveness
 };
 
-RegFile src_file(SrcSpec spec) {
-  switch (spec) {
-    case SrcSpec::Gpr:
-    case SrcSpec::GprOrLit: return RegFile::Gpr;
-    case SrcSpec::Pred: return RegFile::Pred;
-    case SrcSpec::Btr: return RegFile::Btr;
-    default: return RegFile::None;
-  }
-}
-
 /// Collect every register reference in an instruction (reads and
 /// writes), with pointers so callers can rewrite in place.
 std::vector<RegRef> reg_refs(Instruction& inst) {
@@ -41,11 +31,11 @@ std::vector<RegRef> reg_refs(Instruction& inst) {
   std::vector<RegRef> refs;
   const bool guarded = inst.pred != 0;
 
-  if (inst.src1.is_reg() && src_file(info.src1) != RegFile::None) {
-    refs.push_back({src_file(info.src1), &inst.src1.reg, false, false});
+  if (inst.src1.is_reg() && reg_file(info.src1) != RegFile::None) {
+    refs.push_back({reg_file(info.src1), &inst.src1.reg, false, false});
   }
-  if (inst.src2.is_reg() && src_file(info.src2) != RegFile::None) {
-    refs.push_back({src_file(info.src2), &inst.src2.reg, false, false});
+  if (inst.src2.is_reg() && reg_file(info.src2) != RegFile::None) {
+    refs.push_back({reg_file(info.src2), &inst.src2.reg, false, false});
   }
   if (info.dest1_is_source) {
     refs.push_back({RegFile::Gpr, &inst.dest1, false, false});

@@ -21,16 +21,6 @@ namespace cepic::backend {
 
 namespace {
 
-RegFile src_file(SrcSpec spec) {
-  switch (spec) {
-    case SrcSpec::Gpr:
-    case SrcSpec::GprOrLit: return RegFile::Gpr;
-    case SrcSpec::Pred: return RegFile::Pred;
-    case SrcSpec::Btr: return RegFile::Btr;
-    default: return RegFile::None;
-  }
-}
-
 constexpr unsigned kClasses = 5;  // FuClass values
 constexpr unsigned kCosts = 9;    // port cost <= 6 reads + 2 writes
 
@@ -66,8 +56,8 @@ OpRec classify(const MInst& mi, const Mdes& mdes) {
     if ((f == RegFile::Gpr || f == RegFile::Pred) && r == 0) return;  // r0, p0
     add_key(s.reads, s.num_reads, f, r);
   };
-  if (inst.src1.is_reg()) read(src_file(info.src1), inst.src1.reg);
-  if (inst.src2.is_reg()) read(src_file(info.src2), inst.src2.reg);
+  if (inst.src1.is_reg()) read(reg_file(info.src1), inst.src1.reg);
+  if (inst.src2.is_reg()) read(reg_file(info.src2), inst.src2.reg);
   if (info.dest1_is_source) read(RegFile::Gpr, inst.dest1);
   if (inst.pred != 0) read(RegFile::Pred, inst.pred);
   if (info.writes_dest1() && !(info.dest1 == RegFile::Gpr && inst.dest1 == 0)) {

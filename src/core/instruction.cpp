@@ -19,36 +19,16 @@ Instruction Instruction::make(Op op, std::uint32_t d1, Operand s1, Operand s2,
 
 namespace {
 
-char file_prefix(RegFile f) {
-  switch (f) {
-    case RegFile::Gpr: return 'r';
-    case RegFile::Pred: return 'p';
-    case RegFile::Btr: return 'b';
-    case RegFile::None: break;
-  }
-  return '?';
-}
-
-RegFile src_file(SrcSpec spec) {
-  switch (spec) {
-    case SrcSpec::Gpr:
-    case SrcSpec::GprOrLit: return RegFile::Gpr;
-    case SrcSpec::Pred: return RegFile::Pred;
-    case SrcSpec::Btr: return RegFile::Btr;
-    case SrcSpec::None:
-    case SrcSpec::LitOnly: return RegFile::None;
-  }
-  return RegFile::None;
-}
-
 std::string operand_str(const Operand& o, SrcSpec spec) {
   if (o.is_lit()) return cat('#', o.lit);
-  if (o.is_reg()) return cat(file_prefix(src_file(spec)), o.reg);
+  if (o.is_reg()) return cat(reg_prefix(reg_file(spec)), o.reg);
   return "<none>";
 }
 
-unsigned reg_count(const ProcessorConfig& cfg, RegFile f) {
-  switch (f) {
+}  // namespace
+
+unsigned reg_file_size(const ProcessorConfig& cfg, RegFile file) {
+  switch (file) {
     case RegFile::Gpr: return cfg.num_gprs;
     case RegFile::Pred: return cfg.num_preds;
     case RegFile::Btr: return cfg.num_btrs;
@@ -57,7 +37,20 @@ unsigned reg_count(const ProcessorConfig& cfg, RegFile f) {
   return 0;
 }
 
-}  // namespace
+bool implements(const ProcessorConfig& cfg, Op op) {
+  switch (op) {
+    case Op::MUL: return cfg.alu.has_mul;
+    case Op::DIV:
+    case Op::REM: return cfg.alu.has_div;
+    case Op::SHL:
+    case Op::SHRA:
+    case Op::SHRL: return cfg.alu.has_shift;
+    case Op::MIN:
+    case Op::MAX:
+    case Op::ABS: return cfg.alu.has_minmax;
+    default: return !is_custom(op) || custom_slot(op) < cfg.custom_ops.size();
+  }
+}
 
 std::string to_string(const Instruction& inst) {
   const OpInfo& info = inst.info();
@@ -71,11 +64,11 @@ std::string to_string(const Instruction& inst) {
   };
   if (info.dest1 != RegFile::None) {
     comma();
-    s += cat(file_prefix(info.dest1), inst.dest1);
+    s += cat(reg_prefix(info.dest1), inst.dest1);
   }
   if (info.dest2 != RegFile::None) {
     comma();
-    s += cat(file_prefix(info.dest2), inst.dest2);
+    s += cat(reg_prefix(info.dest2), inst.dest2);
   }
   if (info.src1 != SrcSpec::None) {
     comma();
@@ -88,107 +81,97 @@ std::string to_string(const Instruction& inst) {
   return s;
 }
 
-namespace {
-
-std::string check_src(const Operand& o, SrcSpec spec, const char* slot,
-                      const ProcessorConfig& cfg, bool zext) {
-  const InstructionFormat fmt = cfg.format();
-  switch (spec) {
-    case SrcSpec::None:
-      if (o.kind != Operand::Kind::None) return cat(slot, ": operand not allowed");
-      return {};
-    case SrcSpec::Gpr:
-    case SrcSpec::Pred:
-    case SrcSpec::Btr: {
-      if (!o.is_reg()) return cat(slot, ": register operand required");
-      const unsigned n = reg_count(cfg, src_file(spec));
-      if (o.reg >= n) return cat(slot, ": register index ", o.reg, " >= ", n);
-      return {};
+std::vector<Defect> check_instruction(const Instruction& inst,
+                                      const ProcessorConfig& cfg) {
+  const OpInfo& info = inst.info();
+  std::vector<Defect> out;
+  const auto defect = [&](DefectKind kind, std::string message) {
+    out.push_back({kind, std::move(message)});
+  };
+  const auto range = [&](const char* slot, const char* sep, RegFile file,
+                         std::uint32_t reg) {
+    const unsigned n = reg_file_size(cfg, file);
+    if (reg >= n) {
+      defect(DefectKind::RegRange, cat(slot, sep, reg_prefix(file), reg,
+                                       " exceeds the ", n, "-register file"));
     }
-    case SrcSpec::LitOnly:
-      if (!o.is_lit()) return cat(slot, ": literal operand required");
-      break;
-    case SrcSpec::GprOrLit:
-      if (o.is_reg()) {
-        if (o.reg >= cfg.num_gprs) {
-          return cat(slot, ": register index ", o.reg, " >= ", cfg.num_gprs);
+  };
+  const auto dest = [&](const char* slot, RegFile file, std::uint32_t reg) {
+    if (file != RegFile::None) {
+      range(slot, ": ", file, reg);
+    } else if (reg != 0) {
+      defect(DefectKind::Shape, cat(slot, " operand not allowed"));
+    }
+  };
+  const auto src = [&](const char* slot, const Operand& o, SrcSpec spec) {
+    switch (spec) {
+      case SrcSpec::None:
+        if (o.kind != Operand::Kind::None) {
+          defect(DefectKind::Shape, cat(slot, ": operand not allowed"));
         }
-        return {};
-      }
-      if (!o.is_lit()) return cat(slot, ": operand required");
-      break;
-  }
-  // Literal range check against the SRC field width.
-  if (zext) {
-    if (!fits_unsigned(static_cast<std::uint32_t>(o.lit), fmt.src_bits)) {
-      return cat(slot, ": literal ", o.lit, " does not fit in ",
-                 fmt.src_bits, " unsigned bits");
+        return;
+      case SrcSpec::Gpr:
+      case SrcSpec::Pred:
+      case SrcSpec::Btr:
+        if (!o.is_reg()) {
+          defect(DefectKind::Shape, cat(slot, ": register operand required"));
+          return;
+        }
+        [[fallthrough]];
+      case SrcSpec::GprOrLit:
+        if (o.is_reg()) {
+          range(slot, ": ", reg_file(spec), o.reg);
+          return;
+        }
+        if (!o.is_lit()) {
+          defect(DefectKind::Shape, cat(slot, ": operand required"));
+          return;
+        }
+        break;
+      case SrcSpec::LitOnly:
+        if (!o.is_lit()) {
+          defect(DefectKind::Shape, cat(slot, ": literal operand required"));
+          return;
+        }
+        break;
     }
-  } else if (!fits_signed(o.lit, fmt.src_bits)) {
-    return cat(slot, ": literal ", o.lit, " does not fit in ", fmt.src_bits,
-               " signed bits");
-  }
-  return {};
-}
+    const unsigned bits = cfg.format().src_bits;
+    const bool zext = info.literal_zero_extends;
+    if (zext ? !fits_unsigned(static_cast<std::uint32_t>(o.lit), bits)
+             : !fits_signed(o.lit, bits)) {
+      defect(DefectKind::LitWidth,
+             cat(slot, ": literal ", o.lit, " does not fit the ", bits,
+                 "-bit SRC field (", zext ? "zero" : "sign", "-extended)"));
+    }
+  };
 
-}  // namespace
+  if (!implements(cfg, inst.op)) {
+    defect(DefectKind::Unimplemented,
+           is_custom(inst.op)
+               ? cat("`", info.name, "`: custom slot ", custom_slot(inst.op),
+                     " is not bound in this configuration")
+               : cat("`", info.name,
+                     "` is not implemented on this customisation"));
+  }
+  dest("dest1", info.dest1, inst.dest1);
+  dest("dest2", info.dest2, inst.dest2);
+  src("src1", inst.src1, info.src1);
+  src("src2", inst.src2, info.src2);
+  range("guard predicate", " ", RegFile::Pred, inst.pred);
+  const unsigned regs = count_reg_reads(inst) + count_reg_writes(inst);
+  if (regs > cfg.max_regs_per_instr) {
+    defect(DefectKind::RegCap,
+           cat("instruction uses ", regs,
+               " register operands; the encoding caps it at ",
+               cfg.max_regs_per_instr));
+  }
+  return out;
+}
 
 std::string validate_instruction(const Instruction& inst,
                                  const ProcessorConfig& cfg) {
-  const OpInfo& info = inst.info();
-
-  if (is_custom(inst.op) && custom_slot(inst.op) >= cfg.custom_ops.size()) {
-    return cat(info.name, ": custom slot not enabled in configuration");
-  }
-  if (inst.op == Op::DIV || inst.op == Op::REM) {
-    if (!cfg.alu.has_div) return cat(info.name, ": ALU division disabled");
-  }
-  if (inst.op == Op::MUL && !cfg.alu.has_mul) {
-    return "mul: ALU multiplication disabled";
-  }
-  if ((inst.op == Op::SHL || inst.op == Op::SHRA || inst.op == Op::SHRL) &&
-      !cfg.alu.has_shift) {
-    return cat(info.name, ": ALU shifter disabled");
-  }
-  if ((inst.op == Op::MIN || inst.op == Op::MAX || inst.op == Op::ABS) &&
-      !cfg.alu.has_minmax) {
-    return cat(info.name, ": ALU min/max disabled");
-  }
-
-  if (info.dest1 != RegFile::None) {
-    const unsigned n = reg_count(cfg, info.dest1);
-    if (inst.dest1 >= n) return cat("dest1 index ", inst.dest1, " >= ", n);
-  } else if (inst.dest1 != 0) {
-    return "dest1 not allowed";
-  }
-  if (info.dest2 != RegFile::None) {
-    const unsigned n = reg_count(cfg, info.dest2);
-    if (inst.dest2 >= n) return cat("dest2 index ", inst.dest2, " >= ", n);
-  } else if (inst.dest2 != 0) {
-    return "dest2 not allowed";
-  }
-
-  if (auto err = check_src(inst.src1, info.src1, "src1", cfg,
-                           info.literal_zero_extends);
-      !err.empty()) {
-    return err;
-  }
-  if (auto err = check_src(inst.src2, info.src2, "src2", cfg,
-                           info.literal_zero_extends);
-      !err.empty()) {
-    return err;
-  }
-
-  if (inst.pred >= cfg.num_preds) {
-    return cat("guard predicate p", inst.pred, " >= ", cfg.num_preds);
-  }
-
-  const unsigned regs = count_reg_reads(inst) + count_reg_writes(inst);
-  if (regs > cfg.max_regs_per_instr) {
-    return cat("instruction uses ", regs, " register operands, cap is ",
-               cfg.max_regs_per_instr);
-  }
-  return {};
+  std::vector<Defect> defects = check_instruction(inst, cfg);
+  return defects.empty() ? std::string() : std::move(defects.front().message);
 }
 
 unsigned count_reg_reads(const Instruction& inst) {

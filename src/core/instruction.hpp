@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/config.hpp"
 #include "core/isa.hpp"
@@ -66,9 +67,35 @@ struct Instruction {
 /// Human-readable assembly rendering, e.g. "(p3) add r1, r2, #-5".
 std::string to_string(const Instruction& inst);
 
-/// Validate operand shapes, register ranges, literal ranges and the
-/// max-registers-per-instruction cap against `cfg`. Returns an empty
-/// string when valid, else a diagnostic.
+/// Number of registers in `file` on `cfg` (0 for RegFile::None).
+unsigned reg_file_size(const ProcessorConfig& cfg, RegFile file);
+
+/// Is `op` implemented on `cfg`? False for ops the ALU feature trims
+/// remove and for custom slots the configuration does not bind.
+bool implements(const ProcessorConfig& cfg, Op op);
+
+/// What an instruction gets wrong about a configuration.
+enum class DefectKind : std::uint8_t {
+  Shape,          ///< operand present/absent/kind against the op's shape
+  RegRange,       ///< register index past the end of its file
+  LitWidth,       ///< literal does not fit the SRC field
+  RegCap,         ///< more register operands than the encoding allows
+  Unimplemented,  ///< op absent from this customisation
+};
+
+struct Defect {
+  DefectKind kind = DefectKind::Shape;
+  std::string message;
+};
+
+/// Every defect of `inst` on `cfg`, in field order: op support, dest1,
+/// dest2, src1, src2, guard, register cap. Empty when valid. The one
+/// definition of instruction validity: the assembler, the CEPX codec,
+/// mcheck, the simulator and the static cycle predictor all call it.
+std::vector<Defect> check_instruction(const Instruction& inst,
+                                      const ProcessorConfig& cfg);
+
+/// The first defect's message, or an empty string when `inst` is valid.
 std::string validate_instruction(const Instruction& inst,
                                  const ProcessorConfig& cfg);
 

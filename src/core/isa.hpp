@@ -72,6 +72,31 @@ enum class SrcSpec : std::uint8_t {
   LitOnly,   ///< inline literal only
 };
 
+/// Register file a source slot of this shape reads (None for literal-only
+/// and unused slots).
+constexpr RegFile reg_file(SrcSpec spec) {
+  switch (spec) {
+    case SrcSpec::Gpr:
+    case SrcSpec::GprOrLit: return RegFile::Gpr;
+    case SrcSpec::Pred: return RegFile::Pred;
+    case SrcSpec::Btr: return RegFile::Btr;
+    case SrcSpec::None:
+    case SrcSpec::LitOnly: break;
+  }
+  return RegFile::None;
+}
+
+/// Assembly prefix of a register file: `r`, `p` or `b` (`?` for None).
+constexpr char reg_prefix(RegFile file) {
+  switch (file) {
+    case RegFile::Gpr: return 'r';
+    case RegFile::Pred: return 'p';
+    case RegFile::Btr: return 'b';
+    case RegFile::None: break;
+  }
+  return '?';
+}
+
 struct OpInfo {
   Op op = Op::NOP;
   std::string_view name;

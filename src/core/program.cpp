@@ -2,6 +2,7 @@
 
 #include "core/encoding.hpp"
 #include "support/error.hpp"
+#include "support/text.hpp"
 
 namespace cepic {
 
@@ -27,6 +28,20 @@ std::vector<std::uint64_t> Program::encode_code() const {
     words.push_back(encode_instruction(inst, config));
   }
   return words;
+}
+
+std::string register_range_fault(const Program& program) {
+  const std::size_t width = program.config.issue_width;
+  for (std::size_t i = 0; width != 0 && i < program.code.size(); ++i) {
+    const Instruction& inst = program.code[i];
+    if (inst.is_nop()) continue;
+    for (const Defect& d : check_instruction(inst, program.config)) {
+      if (d.kind == DefectKind::RegRange) {
+        return cat("bundle ", i / width, " slot ", i % width, ": ", d.message);
+      }
+    }
+  }
+  return {};
 }
 
 }  // namespace cepic

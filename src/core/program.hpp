@@ -54,4 +54,11 @@ struct Program {
   bool operator==(const Program&) const = default;
 };
 
+/// "bundle B slot S: <message>" for the first non-NOP operation with a
+/// register index past the end of its file (a DefectKind::RegRange from
+/// check_instruction); empty when every index is in range. The
+/// simulator refuses such a program at construction, and the static
+/// cycle predictor predicts that fault with the same text.
+std::string register_range_fault(const Program& program);
+
 }  // namespace cepic

@@ -11,12 +11,6 @@ namespace cepic::explore {
 
 namespace {
 
-std::string hex64(std::uint64_t v) {
-  std::ostringstream os;
-  os << std::hex << v;
-  return os.str();
-}
-
 /// Fill the derived analytic fields of a point from its config and the
 /// cached/simulated cycle count. Pure function of (config, cycles,
 /// ops_committed) — identical for cached and fresh points.
@@ -40,24 +34,6 @@ bool dominates(const PointResult& a, const PointResult& b) {
     return false;
   }
   return a.cycles < b.cycles || a.slices < b.slices || a.power_mw < b.power_mw;
-}
-
-void json_escape(std::ostringstream& os, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u00" << (c < 0x10 ? "0" : "") << std::hex
-             << static_cast<int>(c) << std::dec;
-        } else {
-          os << c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -122,9 +98,7 @@ std::string SweepResult::to_json() const {
          << hex64(p.output_hash) << "\", \"ret\": " << p.ret
          << ", \"pareto\": " << (pareto ? "true" : "false");
     } else {
-      os << ", \"error\": \"";
-      json_escape(os, p.error);
-      os << "\"";
+      os << ", \"error\": \"" << json_escape(p.error) << "\"";
     }
     os << "}" << (i + 1 < points.size() ? "," : "") << "\n";
   }
@@ -134,14 +108,8 @@ std::string SweepResult::to_json() const {
 
 SweepBatch run_sweep_batch(const std::vector<std::string>& sources,
                            const SweepSpec& spec,
-                           const ExploreOptions& options) {
-  pipeline::Options popts;
-  popts.codegen = options.compile;
-  popts.sim = options.sim;
-  popts.jobs = options.jobs;
-  popts.store_dir = options.store_dir;
-  popts.result_cache_file = options.cache_file;
-  pipeline::Service service(popts);
+                           const pipeline::Options& options) {
+  pipeline::Service service(options);
 
   const std::vector<pipeline::RunOutcome> outcomes =
       service.run_batch(sources, spec.points);
@@ -176,7 +144,7 @@ SweepBatch run_sweep_batch(const std::vector<std::string>& sources,
 }
 
 SweepResult run_sweep(std::string_view source, const SweepSpec& spec,
-                      const ExploreOptions& options) {
+                      const pipeline::Options& options) {
   SweepBatch batch =
       run_sweep_batch({std::string(source)}, spec, options);
   return std::move(batch.sweeps.front());

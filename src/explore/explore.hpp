@@ -29,7 +29,6 @@
 #include "core/config.hpp"
 #include "explore/sweep.hpp"
 #include "pipeline/pipeline.hpp"
-#include "sim/simulator.hpp"
 #include "support/bits.hpp"
 
 namespace cepic::explore {
@@ -88,21 +87,6 @@ struct SweepResult {
   std::string to_json() const;
 };
 
-struct ExploreOptions {
-  /// Worker threads; 0 means "all hardware threads".
-  unsigned jobs = 1;
-  /// Explicit on-disk result cache file; empty defers to the store
-  /// (results persist at `<store_dir>/<version>/results.cache` when a
-  /// store is configured, nowhere otherwise). Kept for callers that
-  /// want result persistence without an artifact store.
-  std::string cache_file;
-  /// Root of the persistent content-addressed artifact store (the
-  /// tools' `--cache DIR`); empty keeps artifact sharing in-memory.
-  std::string store_dir;
-  SimOptions sim;
-  pipeline::CodegenOptions compile;
-};
-
 /// A batch of sweeps (one per source) that shared a single
 /// pipeline::Service — one store, one scheduler, one result cache.
 struct SweepBatch {
@@ -111,16 +95,16 @@ struct SweepBatch {
 };
 
 /// Compile and simulate every source at every point of `spec` through
-/// one shared pipeline::Service. Per-point failures (invalid config,
-/// compile error, simulation fault) are captured in the corresponding
-/// PointResult rather than thrown; only infrastructure failures
-/// (unwritable store or cache file) escape.
+/// one pipeline::Service built from `options`. Per-point failures
+/// (invalid config, compile error, simulation fault) are captured in the
+/// corresponding PointResult rather than thrown; only infrastructure
+/// failures (unwritable store or cache file) escape.
 SweepBatch run_sweep_batch(const std::vector<std::string>& sources,
                            const SweepSpec& spec,
-                           const ExploreOptions& options = {});
+                           const pipeline::Options& options = {});
 
 /// Single-source convenience wrapper around run_sweep_batch.
 SweepResult run_sweep(std::string_view source, const SweepSpec& spec,
-                      const ExploreOptions& options = {});
+                      const pipeline::Options& options = {});
 
 }  // namespace cepic::explore

@@ -5,7 +5,6 @@
 #include <set>
 
 #include "core/custom.hpp"
-#include "support/bits.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
 
@@ -28,38 +27,6 @@ struct RegKey {
     return file < o.file || (file == o.file && reg < o.reg);
   }
 };
-
-RegFile src_file(SrcSpec spec) {
-  switch (spec) {
-    case SrcSpec::Gpr:
-    case SrcSpec::GprOrLit: return RegFile::Gpr;
-    case SrcSpec::Pred: return RegFile::Pred;
-    case SrcSpec::Btr: return RegFile::Btr;
-    case SrcSpec::None:
-    case SrcSpec::LitOnly: return RegFile::None;
-  }
-  return RegFile::None;
-}
-
-char file_prefix(RegFile f) {
-  switch (f) {
-    case RegFile::Gpr: return 'r';
-    case RegFile::Pred: return 'p';
-    case RegFile::Btr: return 'b';
-    case RegFile::None: break;
-  }
-  return '?';
-}
-
-unsigned file_size(const ProcessorConfig& cfg, RegFile f) {
-  switch (f) {
-    case RegFile::Gpr: return cfg.num_gprs;
-    case RegFile::Pred: return cfg.num_preds;
-    case RegFile::Btr: return cfg.num_btrs;
-    case RegFile::None: break;
-  }
-  return 0;
-}
 
 const char* fu_name(FuClass fu) {
   switch (fu) {
@@ -93,8 +60,8 @@ InstSets classify(const Instruction& inst) {
     s.port_reads.insert({f, r});
     s.sb_reads.insert({f, r});
   };
-  if (inst.src1.is_reg()) operand_read(src_file(info.src1), inst.src1.reg);
-  if (inst.src2.is_reg()) operand_read(src_file(info.src2), inst.src2.reg);
+  if (inst.src1.is_reg()) operand_read(reg_file(info.src1), inst.src1.reg);
+  if (inst.src2.is_reg()) operand_read(reg_file(info.src2), inst.src2.reg);
   if (info.dest1_is_source) operand_read(RegFile::Gpr, inst.dest1);
   if (inst.pred != 0) operand_read(RegFile::Pred, inst.pred);
   if (info.writes_dest1() &&
@@ -109,6 +76,17 @@ InstSets classify(const Instruction& inst) {
     if (inst.pred != 0) s.port_reads.insert({info.dest2, inst.dest2});
   }
   return s;
+}
+
+Rule defect_rule(DefectKind kind) {
+  switch (kind) {
+    case DefectKind::Shape: return Rule::Structure;
+    case DefectKind::RegRange: return Rule::RegBounds;
+    case DefectKind::LitWidth:
+    case DefectKind::RegCap: return Rule::FieldWidth;
+    case DefectKind::Unimplemented: break;
+  }
+  return Rule::FuMissing;
 }
 
 bool is_control(const Instruction& inst) {
@@ -186,127 +164,17 @@ class Checker {
     }
   }
 
-  // ---- per-instruction encoding checks ----
+  // ---- per-instruction checks ----
 
-  void check_operand(std::uint32_t b, int slot, const Operand& o,
-                     SrcSpec spec, const char* name, bool zext) {
-    const ProcessorConfig& cfg = p_.config;
-    switch (spec) {
-      case SrcSpec::None:
-        if (o.kind != Operand::Kind::None) {
-          diag(Rule::Structure, Severity::Error, b, slot,
-               cat(name, ": operand not allowed"));
-        }
-        return;
-      case SrcSpec::Gpr:
-      case SrcSpec::Pred:
-      case SrcSpec::Btr: {
-        if (!o.is_reg()) {
-          diag(Rule::Structure, Severity::Error, b, slot,
-               cat(name, ": register operand required"));
-          return;
-        }
-        const RegFile f = src_file(spec);
-        if (o.reg >= file_size(cfg, f)) {
-          diag(Rule::RegBounds, Severity::Error, b, slot,
-               cat(name, ": ", file_prefix(f), o.reg, " exceeds the ",
-                   file_size(cfg, f), "-register file"));
-        }
-        return;
-      }
-      case SrcSpec::LitOnly:
-        if (!o.is_lit()) {
-          diag(Rule::Structure, Severity::Error, b, slot,
-               cat(name, ": literal operand required"));
-          return;
-        }
-        break;
-      case SrcSpec::GprOrLit:
-        if (o.is_reg()) {
-          if (o.reg >= cfg.num_gprs) {
-            diag(Rule::RegBounds, Severity::Error, b, slot,
-                 cat(name, ": r", o.reg, " exceeds the ", cfg.num_gprs,
-                     "-register file"));
-          }
-          return;
-        }
-        if (!o.is_lit()) {
-          diag(Rule::Structure, Severity::Error, b, slot,
-               cat(name, ": operand required"));
-          return;
-        }
-        break;
-    }
-    const unsigned bits = cfg.format().src_bits;
-    if (zext) {
-      if (!fits_unsigned(static_cast<std::uint32_t>(o.lit), bits)) {
-        diag(Rule::FieldWidth, Severity::Error, b, slot,
-             cat(name, ": literal ", o.lit, " does not fit the ", bits,
-                 "-bit SRC field (zero-extended)"));
-      }
-    } else if (!fits_signed(o.lit, bits)) {
-      diag(Rule::FieldWidth, Severity::Error, b, slot,
-           cat(name, ": literal ", o.lit, " does not fit the ", bits,
-               "-bit SRC field (sign-extended)"));
-    }
-  }
-
-  void check_instruction(std::uint32_t b, int slot, const Instruction& inst) {
+  void check_op(std::uint32_t b, int slot, const Instruction& inst) {
     const OpInfo& info = inst.info();
     const ProcessorConfig& cfg = p_.config;
 
-    if (!mdes_.op_supported(inst.op)) {
-      if (is_custom(inst.op) && custom_slot(inst.op) >= cfg.custom_ops.size()) {
-        diag(Rule::FuMissing, Severity::Error, b, slot,
-             cat("`", info.name, "`: custom slot ", custom_slot(inst.op),
-                 " is not bound in this configuration"));
-      } else {
-        diag(Rule::FuMissing, Severity::Error, b, slot,
-             cat("`", info.name,
-                 "` is not implemented on this customisation"));
-      }
-    }
-
-    if (info.dest1 != RegFile::None) {
-      if (inst.dest1 >= file_size(cfg, info.dest1)) {
-        diag(Rule::RegBounds, Severity::Error, b, slot,
-             cat("dest1: ", file_prefix(info.dest1), inst.dest1,
-                 " exceeds the ", file_size(cfg, info.dest1),
-                 "-register file"));
-      }
-    } else if (inst.dest1 != 0) {
-      diag(Rule::Structure, Severity::Error, b, slot,
-           "dest1 operand not allowed");
-    }
-    if (info.dest2 != RegFile::None) {
-      if (inst.dest2 >= file_size(cfg, info.dest2)) {
-        diag(Rule::RegBounds, Severity::Error, b, slot,
-             cat("dest2: ", file_prefix(info.dest2), inst.dest2,
-                 " exceeds the ", file_size(cfg, info.dest2),
-                 "-register file"));
-      }
-    } else if (inst.dest2 != 0) {
-      diag(Rule::Structure, Severity::Error, b, slot,
-           "dest2 operand not allowed");
-    }
-
-    check_operand(b, slot, inst.src1, info.src1, "src1",
-                  info.literal_zero_extends);
-    check_operand(b, slot, inst.src2, info.src2, "src2",
-                  info.literal_zero_extends);
-
-    if (inst.pred >= cfg.num_preds) {
-      diag(Rule::RegBounds, Severity::Error, b, slot,
-           cat("guard predicate p", inst.pred, " exceeds the ",
-               cfg.num_preds, "-register file"));
-    }
-
-    const unsigned regs = count_reg_reads(inst) + count_reg_writes(inst);
-    if (regs > cfg.max_regs_per_instr) {
-      diag(Rule::FieldWidth, Severity::Error, b, slot,
-           cat("instruction uses ", regs,
-               " register operands; the encoding caps it at ",
-               cfg.max_regs_per_instr));
+    // Encoding validity: the defects core/instruction.hpp defines for
+    // the assembler and codec, each filed under its rule.
+    for (Defect& d : check_instruction(inst, cfg)) {
+      diag(defect_rule(d.kind), Severity::Error, b, slot,
+           std::move(d.message));
     }
 
     // Control flow: PBR targets are bundle addresses and must land on an
@@ -364,7 +232,7 @@ class Checker {
       for (int slot = 0; slot < static_cast<int>(width); ++slot) {
         const Instruction& inst = bundle[slot];
         if (inst.is_nop()) continue;
-        check_instruction(b, slot, inst);
+        check_op(b, slot, inst);
         has_control |= is_control(inst);
 
         const FuClass fu = inst.info().fu;
@@ -393,7 +261,7 @@ class Checker {
           const auto it = writer_slot.find(r);
           if (it != writer_slot.end()) {
             diag(Rule::Latency, Severity::Warning, b, slot,
-                 cat("reads ", file_prefix(r.file), r.reg, ", written by "
+                 cat("reads ", reg_prefix(r.file), r.reg, ", written by "
                      "slot ", it->second, " of the same MultiOp: the "
                      "pre-MultiOp value is used"));
           }
@@ -405,7 +273,7 @@ class Checker {
           const auto it = ready.find(r);
           if (it != ready.end() && it->second > cycle) {
             diag(Rule::Latency, Severity::Warning, b, slot,
-                 cat("reads ", file_prefix(r.file), r.reg, " ",
+                 cat("reads ", reg_prefix(r.file), r.reg, " ",
                      it->second - cycle, " cycle(s) before the result is "
                      "ready: the scoreboard must stall issue"));
           }
@@ -414,7 +282,7 @@ class Checker {
         for (const RegKey& w : sets.writes) {
           if (!writer_slot.try_emplace(w, slot).second) {
             diag(Rule::MultiOpWaw, Severity::Error, b, slot,
-                 cat("MultiOp writes ", file_prefix(w.file), w.reg,
+                 cat("MultiOp writes ", reg_prefix(w.file), w.reg,
                      " twice; the architectural result is ambiguous"));
           }
           if (w.file == RegFile::Gpr) gpr_writes.insert(w.reg);
@@ -459,27 +327,6 @@ class Checker {
   std::map<std::uint32_t, std::string> label_at_;
   std::set<std::uint32_t> prepared_btrs_;
 };
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += cat("\\u00", c < 0x10 ? "0" : "",
-                     std::hex, static_cast<int>(c));
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace
 

@@ -1,5 +1,6 @@
 #include "mdes/mdes.hpp"
 
+#include "core/instruction.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
 
@@ -38,23 +39,10 @@ Mdes::Mdes(const ProcessorConfig& cfg, const CustomOpTable* custom) {
     const OpInfo& info = op_info(op);
     unsigned lat = info.latency;
     if (info.is_load) lat = cfg.load_latency;
-    bool ok = !info.name.empty();
-    if (op == Op::MUL && !cfg.alu.has_mul) ok = false;
-    if ((op == Op::DIV || op == Op::REM) && !cfg.alu.has_div) ok = false;
-    if ((op == Op::SHL || op == Op::SHRA || op == Op::SHRL) &&
-        !cfg.alu.has_shift) {
-      ok = false;
-    }
-    if ((op == Op::MIN || op == Op::MAX || op == Op::ABS) &&
-        !cfg.alu.has_minmax) {
-      ok = false;
-    }
-    if (is_custom(op)) {
-      const unsigned slot = custom_slot(op);
-      ok = slot < cfg.custom_ops.size();
-      if (ok && custom != nullptr && custom->has(slot)) {
-        lat = custom->get(slot).latency;
-      }
+    const bool ok = !info.name.empty() && implements(cfg, op);
+    if (ok && is_custom(op) && custom != nullptr &&
+        custom->has(custom_slot(op))) {
+      lat = custom->get(custom_slot(op)).latency;
     }
     latency_[i] = lat;
     supported_[i] = ok ? 1 : 0;

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "obs/hist.hpp"
+#include "support/text.hpp"
 
 namespace cepic::obs {
 
@@ -258,7 +259,8 @@ void write_trace_json(const std::string& path);
 void write_metrics_json(const std::string& path);
 void write_metrics_csv(const std::string& path);
 
-/// JSON string escaping shared by every exporter in this library.
-std::string json_escape(std::string_view s);
+/// JSON string escaping (support/text.hpp), re-exported for exporters
+/// that spell it obs::json_escape.
+using cepic::json_escape;
 
 }  // namespace cepic::obs

@@ -23,12 +23,6 @@ namespace cepic::pipeline {
 
 namespace {
 
-std::string hex64(std::uint64_t v) {
-  std::ostringstream os;
-  os << std::hex << v;
-  return os.str();
-}
-
 /// Canonical key material for the optimiser slice of CodegenOptions.
 /// Every field is spelled out so that adding one without extending this
 /// list shows up in review, not as a stale-artifact bug.  Deliberately

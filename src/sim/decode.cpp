@@ -9,28 +9,6 @@ namespace cepic {
 
 namespace {
 
-RegFile file_of_src(SrcSpec spec) {
-  switch (spec) {
-    case SrcSpec::Gpr:
-    case SrcSpec::GprOrLit: return RegFile::Gpr;
-    case SrcSpec::Pred: return RegFile::Pred;
-    case SrcSpec::Btr: return RegFile::Btr;
-    case SrcSpec::None:
-    case SrcSpec::LitOnly: return RegFile::None;
-  }
-  return RegFile::None;
-}
-
-unsigned file_size(const ProcessorConfig& cfg, RegFile file) {
-  switch (file) {
-    case RegFile::Gpr: return cfg.num_gprs;
-    case RegFile::Pred: return cfg.num_preds;
-    case RegFile::Btr: return cfg.num_btrs;
-    case RegFile::None: break;
-  }
-  return 0;
-}
-
 ExecKind exec_kind(const OpInfo& info) {
   switch (info.fu) {
     case FuClass::Alu: return ExecKind::Alu;
@@ -66,39 +44,35 @@ void push_unique(std::vector<std::uint32_t>& v, std::uint32_t x) {
   if (std::find(v.begin(), v.end(), x) == v.end()) v.push_back(x);
 }
 
-/// Decode one source operand; returns false when a register index is
-/// out of range for its file (bundle falls back to the legacy path).
-bool decode_src(const Operand& o, SrcSpec spec, const ProcessorConfig& cfg,
-                DecodedSrc& out) {
+/// Decode one source operand. Register indices are in range: the
+/// simulator refuses out-of-range programs before decoding.
+DecodedSrc decode_src(const Operand& o, SrcSpec spec,
+                      const ProcessorConfig& cfg) {
+  DecodedSrc out;
   if (o.is_lit()) {
     out.kind = SrcKind::Lit;
     out.value =
         mask_to_width(static_cast<std::uint32_t>(o.lit), cfg.datapath_width);
-    return true;
+    return out;
   }
-  if (!o.is_reg()) {
-    out.kind = SrcKind::Zero;
-    return true;
-  }
-  switch (file_of_src(spec)) {
+  if (!o.is_reg()) return out;
+  switch (reg_file(spec)) {
     case RegFile::Gpr: out.kind = SrcKind::Gpr; break;
     case RegFile::Pred: out.kind = SrcKind::Pred; break;
     case RegFile::Btr: out.kind = SrcKind::Btr; break;
     case RegFile::None:
       // A register operand in a literal/unused slot reads as zero on
       // the interpretive path too.
-      out.kind = SrcKind::Zero;
-      return true;
+      return out;
   }
   out.reg = o.reg;
-  return o.reg < file_size(cfg, file_of_src(spec));
+  return out;
 }
 
 DecodedBundle decode_bundle(std::span<const Instruction> bundle,
                             const Program& program, const Mdes& mdes) {
   const ProcessorConfig& cfg = program.config;
   DecodedBundle out;
-  bool in_range = true;
   std::uint8_t pending_nops = 0;
 
   for (const Instruction& inst : bundle) {
@@ -120,19 +94,12 @@ DecodedBundle decode_bundle(std::span<const Instruction> bundle,
     op.kind = mdes.op_supported(inst.op) ? exec_kind(info)
                                          : ExecKind::Unsupported;
 
-    in_range &= inst.pred < cfg.num_preds;
-    in_range &= decode_src(inst.src1, info.src1, cfg, op.src1);
-    in_range &= decode_src(inst.src2, info.src2, cfg, op.src2);
+    op.src1 = decode_src(inst.src1, info.src1, cfg);
+    op.src2 = decode_src(inst.src2, info.src2, cfg);
     // The interpretive path feeds PBR's raw (unmasked) literal to the
     // BTR write; keep that exact value.
     if (op.kind == ExecKind::Pbr) {
       op.src1.value = static_cast<std::uint32_t>(inst.src1.lit);
-    }
-    if (info.dest1 != RegFile::None) {
-      in_range &= inst.dest1 < file_size(cfg, info.dest1);
-    }
-    if (info.dest2 != RegFile::None) {
-      in_range &= inst.dest2 < file_size(cfg, info.dest2);
     }
 
     // ---- Stage-1 static facts: scoreboard sources and §3.2 ports. ----
@@ -170,7 +137,6 @@ DecodedBundle decode_bundle(std::span<const Instruction> bundle,
     out.ops.push_back(op);
   }
   out.nops_trailing = pending_nops;
-  out.use_legacy = !in_range;
   return out;
 }
 

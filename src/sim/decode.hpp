@@ -6,9 +6,9 @@
 // construction, into a DecodedBundle that bakes all of it in, so the
 // per-cycle loop touches only architectural state. Behaviour is
 // bit-identical to the interpretive path (tests/test_sim_fastpath.cpp
-// proves it differentially); bundles the decoder cannot prove safe
-// (out-of-range register indices in hand-built programs) are flagged
-// `use_legacy` and executed by the interpretive path instead.
+// proves it differentially). Every register index is in range by the
+// time a program is decoded: EpicSimulator refuses any program with an
+// out-of-range index at construction (register_range_fault).
 #pragma once
 
 #include <cstdint>
@@ -73,10 +73,6 @@ struct DecodedOp {
 };
 
 struct DecodedBundle {
-  /// Decoder could not prove every register access in range; the
-  /// simulator executes this bundle through the interpretive path so
-  /// fault behaviour is unchanged.
-  bool use_legacy = false;
   std::uint8_t nops_trailing = 0;  ///< NOP slots after the last decoded op
   /// Static GPR write-port demand of the bundle (§3.2).
   unsigned write_ports = 0;

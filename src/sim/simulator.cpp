@@ -34,6 +34,13 @@ EpicSimulator::EpicSimulator(Program program, CustomOpTable custom,
               cat("issue_width ", program_.config.issue_width,
                   " exceeds the bundle-width histogram range 0..",
                   SimStats::kMaxBundleWidth));
+  // Every tier indexes register arrays by the encoded fields, so an
+  // out-of-range index is refused here rather than faulting mid-run.
+  // (Only register ranges: they are part of the simulation slice of the
+  // configuration; unsupported ops fault when first executed.)
+  if (std::string fault = register_range_fault(program_); !fault.empty()) {
+    throw SimError(fault);
+  }
   // Install semantics for any config-enabled custom op the caller did
   // not supply explicitly.
   for (unsigned slot = 0; slot < program_.config.custom_ops.size(); ++slot) {
@@ -121,22 +128,6 @@ std::uint32_t EpicSimulator::btr(unsigned i) const {
   return btrs_[i];
 }
 
-namespace {
-
-RegFile file_of_src(SrcSpec spec) {
-  switch (spec) {
-    case SrcSpec::Gpr:
-    case SrcSpec::GprOrLit: return RegFile::Gpr;
-    case SrcSpec::Pred: return RegFile::Pred;
-    case SrcSpec::Btr: return RegFile::Btr;
-    case SrcSpec::None:
-    case SrcSpec::LitOnly: return RegFile::None;
-  }
-  return RegFile::None;
-}
-
-}  // namespace
-
 std::uint64_t EpicSimulator::ready_cycle(RegFile file,
                                          std::uint32_t index) const {
   switch (file) {
@@ -170,7 +161,7 @@ std::uint32_t EpicSimulator::read_operand(const Operand& o, SrcSpec spec,
   (void)zext;  // literal extension already happened at decode/build time
   if (o.is_lit()) return mask_to_width(static_cast<std::uint32_t>(o.lit), width_);
   if (!o.is_reg()) return 0;
-  switch (file_of_src(spec)) {
+  switch (reg_file(spec)) {
     case RegFile::Gpr: return gpr(o.reg);
     case RegFile::Pred: return pred(o.reg) ? 1u : 0u;
     case RegFile::Btr: return btr(o.reg);
@@ -326,9 +317,7 @@ bool EpicSimulator::step() {
   // amortise over anyway. run() is where blocks pay off.
   if (options_.exec_tier != ExecTier::Interp) {
     stats_.exec_tier = ExecTier::Decode;
-    const DecodedBundle& bundle = decoded_[pc_];
-    if (!bundle.use_legacy) return step_decoded(bundle);
-    return step_interpretive();
+    return step_decoded(decoded_[pc_]);
   }
   stats_.exec_tier = ExecTier::Interp;
   return step_interpretive();
@@ -541,10 +530,10 @@ bool EpicSimulator::step_interpretive() {
     const OpInfo& info = inst.info();
     issue = std::max(issue, ready_cycle(RegFile::Pred, inst.pred));
     if (inst.src1.is_reg()) {
-      issue = std::max(issue, ready_cycle(file_of_src(info.src1), inst.src1.reg));
+      issue = std::max(issue, ready_cycle(reg_file(info.src1), inst.src1.reg));
     }
     if (inst.src2.is_reg()) {
-      issue = std::max(issue, ready_cycle(file_of_src(info.src2), inst.src2.reg));
+      issue = std::max(issue, ready_cycle(reg_file(info.src2), inst.src2.reg));
     }
     if (info.dest1_is_source) {
       issue = std::max(issue, ready_cycle(RegFile::Gpr, inst.dest1));
@@ -573,10 +562,10 @@ bool EpicSimulator::step_interpretive() {
     for (const Instruction& inst : bundle) {
       if (inst.is_nop()) continue;
       const OpInfo& info = inst.info();
-      if (inst.src1.is_reg() && file_of_src(info.src1) == RegFile::Gpr) {
+      if (inst.src1.is_reg() && reg_file(info.src1) == RegFile::Gpr) {
         count_read(inst.src1.reg);
       }
-      if (inst.src2.is_reg() && file_of_src(info.src2) == RegFile::Gpr) {
+      if (inst.src2.is_reg() && reg_file(info.src2) == RegFile::Gpr) {
         count_read(inst.src2.reg);
       }
       if (info.dest1_is_source) count_read(inst.dest1);

@@ -63,6 +63,8 @@ struct TraceEntry {
 
 class EpicSimulator {
 public:
+  /// Throws SimError("bundle B slot S: ...") when an operation names a
+  /// register past the end of its file (see register_range_fault).
   explicit EpicSimulator(Program program, CustomOpTable custom = {},
                          SimOptions options = {});
 
@@ -133,13 +135,14 @@ private:
   std::uint64_t ready_cycle(RegFile file, std::uint32_t index) const;
   void note_ready(RegFile file, std::uint32_t index, std::uint64_t cycle);
 
-  /// One step through the pre-decoded fast path (never called for
-  /// bundles flagged use_legacy). Dispatches to the template below so
-  /// the no-timeline instantiation carries zero timeline bookkeeping.
+  /// One step through the pre-decoded fast path. Dispatches to the
+  /// template below so the no-timeline instantiation carries zero
+  /// timeline bookkeeping.
   bool step_decoded(const DecodedBundle& bundle);
   template <bool kTimeline>
   bool step_decoded_impl(const DecodedBundle& bundle);
-  /// One step through the interpretive decode-every-cycle path.
+  /// One step through the interpretive decode-every-cycle path; runs
+  /// only on ExecTier::Interp, the differential reference tier.
   bool step_interpretive();
   /// Fetch a pre-decoded source operand's value.
   std::uint32_t fetch(const DecodedSrc& src) const;
@@ -158,8 +161,7 @@ private:
 
   // --- threaded tier (sim/threaded.cpp) ---
   /// run() body for ExecTier::Threaded: dispatch compiled blocks,
-  /// promote hot entry pcs, execute cold/legacy bundles on the decode/
-  /// interpretive paths.
+  /// promote hot entry pcs, execute cold bundles on the decode path.
   void run_threaded();
   /// Execute one compiled block starting at pc_ == block.entry_pc.
   void exec_block(const ThreadedBlock& block);

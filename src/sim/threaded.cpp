@@ -201,7 +201,6 @@ ThreadedBlock EpicSimulator::compile_block(std::uint32_t entry_pc) {
   std::uint32_t pc = entry_pc;
   while (pc < bundle_count_ && block.len_bundles < options_.threaded_max_block) {
     const DecodedBundle& bundle = decoded_[pc];
-    if (bundle.use_legacy) break;  // interpretive-only: never in a block
 
     // ---- classify: direct (+probes) or per-bundle fallback ----
     bool direct = true;
@@ -1356,17 +1355,7 @@ void EpicSimulator::run_threaded() {
         exec_block(block);
         continue;
       }
-      const DecodedBundle& bundle = decoded_[pc_];
-      if (bundle.use_legacy ? !step_interpretive() : !step_decoded(bundle)) {
-        return;
-      }
-      continue;
-    }
-    const DecodedBundle& bundle = decoded_[pc_];
-    if (bundle.use_legacy) {
-      // Out-of-range register indices: interpretive-only, never
-      // promoted (a block could not contain it anyway).
-      if (!step_interpretive()) return;
+      if (!step_decoded(decoded_[pc_])) return;
       continue;
     }
     if (++threaded_.hot[pc_] >= options_.threaded_hot_threshold) {
@@ -1388,7 +1377,7 @@ void EpicSimulator::run_threaded() {
       continue;  // dispatch the freshly compiled block
     }
     ++threaded_.cold_steps;
-    if (!step_decoded(bundle)) return;
+    if (!step_decoded(decoded_[pc_])) return;
   }
 }
 

@@ -17,8 +17,7 @@
 // Bundles the lowering cannot prove exact — intra-bundle hazards,
 // custom-op slots (user semantics may throw), unsupported ops, operand
 // shapes outside the fast kinds — fall back per bundle to
-// step_decoded(), exactly as the decode tier falls back per bundle to
-// the interpretive path. Memory operations stay direct behind probe
+// step_decoded(). Memory operations stay direct behind probe
 // micro-ops: the probe re-checks the access before any state changes
 // and bails to the per-bundle fallback when the access would fault, so
 // the fault path replays with the decode tier's exact interleaving.

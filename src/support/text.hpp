@@ -60,4 +60,11 @@ std::string pad_right(const std::string& s, std::size_t width);
 /// Render a double with `digits` fractional digits.
 std::string fixed(double v, int digits);
 
+/// Lower-case hexadecimal rendering without prefix or padding.
+std::string hex64(std::uint64_t v);
+
+/// Escape `s` for use inside a JSON string literal: quote, backslash,
+/// \n, \r and \t by name, other control characters as \u00XX.
+std::string json_escape(std::string_view s);
+
 }  // namespace cepic

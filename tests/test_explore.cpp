@@ -132,9 +132,9 @@ const char* kProg =
 
 TEST(Explore, JobsCountDoesNotChangeAnyByteOfTheResult) {
   const SweepSpec spec = SweepSpec::from_grid("alus=1..2,width=1..2");
-  ExploreOptions serial;
+  pipeline::Options serial;
   serial.jobs = 1;
-  ExploreOptions wide;
+  pipeline::Options wide;
   wide.jobs = 8;
   const SweepResult a = run_sweep(kProg, spec, serial);
   const SweepResult b = run_sweep(kProg, spec, wide);
@@ -186,8 +186,8 @@ TEST(Explore, OnDiskCacheMakesRepeatInvocationsFree) {
   std::remove(cache_file.c_str());
 
   const SweepSpec spec = SweepSpec::from_grid("alus=1..2");
-  ExploreOptions options;
-  options.cache_file = cache_file;
+  pipeline::Options options;
+  options.result_cache_file = cache_file;
 
   const SweepResult cold = run_sweep(kProg, spec, options);
   EXPECT_EQ(cold.cache_hits, 0u);

@@ -13,12 +13,14 @@
 #include <string>
 #include <vector>
 
+#include "analysis/static_cycles.hpp"
 #include "asmtool/assembler.hpp"
 #include "core/custom.hpp"
 #include "core/program.hpp"
 #include "mcheck/mcheck.hpp"
 #include "pipeline/pipeline.hpp"
 #include "sim/simulator.hpp"
+#include "support/error.hpp"
 #include "workloads/workloads.hpp"
 
 namespace cepic::mcheck {
@@ -215,6 +217,49 @@ TEST(Fixtures, StructureEntryPastEnd) {
   p.entry_bundle = 100;
   const Report rep = check_program(p);
   ASSERT_TRUE(rep.has_rule(Rule::Structure)) << rep.to_text();
+}
+
+// ------------------------------------------ one validity rule, all layers
+
+TEST(SharedValidity, EveryLayerGivesTheSameRegisterRangeText) {
+  // `mov r40, #1` on a 16-GPR machine. The assembler, mcheck, every
+  // simulator tier and the static cycle predictor word the defect
+  // through core's check_instruction, so all of them say the same.
+  const std::string text = "dest1: r40 exceeds the 16-register file";
+  ProcessorConfig cfg;
+  cfg.num_gprs = 16;
+
+  try {
+    assemble(".text\n.entry main\nmain:\nmov r40, #1 ;;\nhalt ;;\n", cfg);
+    ADD_FAILURE() << "assembler accepted r40 on a 16-GPR machine";
+  } catch (const AsmError& e) {
+    EXPECT_NE(std::string(e.what()).find(text), std::string::npos)
+        << e.what();
+  }
+
+  Program p = skeleton(cfg);
+  p.code[0].dest1 = 40;  // bundle 0 slot 0: mov r40, #1
+  const Report rep = check_program(p);
+  ASSERT_EQ(rep.diags.size(), 1u) << rep.to_text();
+  EXPECT_EQ(rule_id(rep.diags[0].rule), "mcheck.reg-bounds");
+  EXPECT_EQ(rep.diags[0].message, text);
+
+  for (const ExecTier tier :
+       {ExecTier::Interp, ExecTier::Decode, ExecTier::Threaded}) {
+    SCOPED_TRACE(to_string(tier));
+    SimOptions options;
+    options.exec_tier = tier;
+    try {
+      EpicSimulator sim(p, {}, options);
+      ADD_FAILURE() << "simulator accepted r40 on a 16-GPR machine";
+    } catch (const SimError& e) {
+      EXPECT_EQ(std::string(e.what()), "bundle 0 slot 0: " + text);
+    }
+  }
+
+  const analysis::StaticCycleReport predicted = analysis::predict_cycles(p);
+  EXPECT_TRUE(predicted.fault);
+  EXPECT_EQ(predicted.reason, "bundle 0 slot 0: " + text);
 }
 
 // ---------------------------------------------------- report machinery

@@ -50,6 +50,19 @@ void* operator new(std::size_t n) {
   return p;
 }
 void* operator new[](std::size_t n) { return operator new(n); }
+// libstdc++ takes stable_sort's temporary buffer from the nothrow forms
+// and frees it with plain operator delete, so they must allocate with
+// malloc too.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return operator new(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return operator new(n, std::nothrow);
+}
 // The overridden operator new above allocates with malloc, so free() is
 // the matching deallocator; GCC cannot see the pairing and warns.
 #if defined(__GNUC__) && !defined(__clang__)
@@ -60,6 +73,10 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif

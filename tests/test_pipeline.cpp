@@ -476,7 +476,7 @@ TEST(Explore, SweepBatchSharesCompilesAcrossSourcesAndMatchesRunSweep) {
     spec.add(cfg);
   }
 
-  explore::ExploreOptions options;
+  pipeline::Options options;
   const explore::SweepBatch batch =
       explore::run_sweep_batch({kProg, kProg2}, spec, options);
   ASSERT_EQ(batch.sweeps.size(), 2u);

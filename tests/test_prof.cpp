@@ -273,15 +273,17 @@ TEST(Bench, WallTimeCeilingGuard) {
   };
   // Baseline ratio 2.0; ceiling = 1.6 * 2.0 = 3.2.
   const std::vector<report::BenchRun> history = {time_run("base", 2000, 1000)};
-  const report::RatioCheck* ok_check = find_check(
-      report::check_ratios(history, time_run("fresh", 3000, 1000)),
-      "BM_Optimize/BM_Frontend (time)");
+  const std::vector<report::RatioCheck> ok_checks =
+      report::check_ratios(history, time_run("fresh", 3000, 1000));
+  const report::RatioCheck* ok_check =
+      find_check(ok_checks, "BM_Optimize/BM_Frontend (time)");
   ASSERT_NE(ok_check, nullptr);
   EXPECT_FALSE(ok_check->is_floor);
   EXPECT_TRUE(ok_check->ok);
-  const report::RatioCheck* bad_check = find_check(
-      report::check_ratios(history, time_run("fresh", 4000, 1000)),
-      "BM_Optimize/BM_Frontend (time)");
+  const std::vector<report::RatioCheck> bad_checks =
+      report::check_ratios(history, time_run("fresh", 4000, 1000));
+  const report::RatioCheck* bad_check =
+      find_check(bad_checks, "BM_Optimize/BM_Frontend (time)");
   ASSERT_NE(bad_check, nullptr);
   EXPECT_FALSE(bad_check->ok);
 }
@@ -319,9 +321,10 @@ TEST(Bench, ScalingGuardBoundsEveryDoubling) {
   EXPECT_FALSE(bad->ok);
   EXPECT_TRUE(find_check(one_bad, "BM_CompileScaling/4k (time/half)")->ok);
   // A fresh run without the scaling benchmarks skips the guard.
+  const std::vector<report::RatioCheck> no_scaling =
+      report::check_ratios({}, report::BenchRun{});
   const report::RatioCheck* absent =
-      find_check(report::check_ratios({}, report::BenchRun{}),
-                 "BM_CompileScaling/8k (time/half)");
+      find_check(no_scaling, "BM_CompileScaling/8k (time/half)");
   ASSERT_NE(absent, nullptr);
   EXPECT_TRUE(absent->ok);
   EXPECT_TRUE(absent->baseline_label.empty());

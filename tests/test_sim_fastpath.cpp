@@ -269,12 +269,10 @@ TEST(SimFastPath, PcPastEndFaultsIdentically) {
       << threaded.error;
 }
 
-TEST(SimFastPath, OutOfRangeRegisterFallsBackToInterpretivePath) {
-  // make_program does not validate register indices; the interpretive
-  // path faults on the CEPIC_CHECK at execute time. The decoder flags
-  // such bundles use_legacy, every tier runs them through the
-  // interpretive path, and the fault behaviour (a thrown Error, not
-  // silence) is preserved.
+TEST(SimFastPath, OutOfRangeRegisterRejectedAtConstruction) {
+  // make_program does not validate register indices. Every tier refuses
+  // the program when the simulator is built, before any bundle runs,
+  // with the text core's check_instruction gives the defect.
   ProcessorConfig cfg;
   cfg.num_gprs = 16;
   const Program p = make_program(cfg, {{mov(40, I(1))}, {halt()}});
@@ -284,12 +282,13 @@ TEST(SimFastPath, OutOfRangeRegisterFallsBackToInterpretivePath) {
     SimOptions options;
     options.exec_tier = tier;
     options.threaded_hot_threshold = 1;
-    EXPECT_THROW(
-        {
-          EpicSimulator sim(p, {}, options);
-          sim.run();
-        },
-        std::exception);
+    try {
+      EpicSimulator sim(p, {}, options);
+      ADD_FAILURE() << "simulator accepted r40 on a 16-GPR machine";
+    } catch (const SimError& e) {
+      EXPECT_STREQ(e.what(),
+                   "bundle 0 slot 0: dest1: r40 exceeds the 16-register file");
+    }
   }
 }
 

@@ -186,6 +186,27 @@ TEST(StaticCycles, PredictsBranchPastEndFault) {
   }
 }
 
+TEST(StaticCycles, PredictsOutOfRangeRegisterFault) {
+  // r40 on a 16-GPR machine: the walk must not index past its register
+  // arrays. It predicts the simulator's refusal at construction, word
+  // for word.
+  ProcessorConfig cfg;
+  cfg.num_gprs = 16;
+  const Program p =
+      make_program(cfg, {{mov(1, I(1))}, {mov(40, I(2))}, {halt()}});
+  const analysis::StaticCycleReport report = analysis::predict_cycles(p);
+  ASSERT_TRUE(report.fault);
+  EXPECT_FALSE(report.exact);
+  EXPECT_EQ(report.reason,
+            "bundle 1 slot 0: dest1: r40 exceeds the 16-register file");
+  try {
+    run_sim(p);
+    FAIL() << "simulator did not fault";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.what(), report.reason);
+  }
+}
+
 // --- reports -----------------------------------------------------------
 
 TEST(StaticCycles, ReportFormats) {

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     bool sweep_pipeline = false;
     bool pareto_only = false;
     bool cache_stats = false;
-    explore::ExploreOptions options;
+    pipeline::Options options;
 
     tools::OptionTable table(
         "cepic-explore <prog.mc> [more.mc ...] [options]");
