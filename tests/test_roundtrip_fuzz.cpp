@@ -4,18 +4,32 @@
 // points of assemble -> disassemble -> assemble (src/asmtool), with the
 // encoded words bit-identical. Every failure message carries the seed
 // and the offending instruction/program so a run is reproducible.
+//
+// DisasmGolden pins disassemble's output bytes over the compiled
+// workload corpus × a codegen grid and the fuzz programs below.
+// Regenerate tests/golden/disasm_digests.txt by rerunning the test with
+// CEPIC_REGEN_GOLDEN=1 in the environment.
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 #include "serial/serial.hpp"
 #include "asmtool/assembler.hpp"
+#include "backend/backend.hpp"
 #include "core/encoding.hpp"
 #include "core/instruction.hpp"
 #include "core/program.hpp"
+#include "frontend/irgen.hpp"
 #include "mcheck/mcheck.hpp"
+#include "opt/opt.hpp"
 #include "sim/simulator.hpp"
 #include "support/bits.hpp"
 #include "support/prng.hpp"
 #include "support/text.hpp"
+#include "workloads/workloads.hpp"
 #include "test_util.hpp"
 
 namespace cepic {
@@ -128,6 +142,64 @@ TEST(AssemblerRoundTripFuzz, AssembleDisassembleAssembleIsAFixedPoint) {
       ASSERT_EQ(asmtool::disassemble(p2), text1);
     }
   }
+}
+
+std::string digest(const std::string& text) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(fnv1a64(text)));
+  return buf;
+}
+
+TEST(DisasmGolden, DigestsMatchCommittedCorpus) {
+  std::ostringstream fresh;
+  for (const workloads::Workload& w : workloads::all_workloads(16, 8, 8, 8)) {
+    ir::Module m = minic::compile_to_ir(w.minic_source);
+    opt::optimize(m, {});
+    for (const bool schedule : {true, false}) {
+      for (unsigned alus = 1; alus <= 4; ++alus) {
+        for (unsigned issue = 1; issue <= 4; ++issue) {
+          for (const bool fwd : {false, true}) {
+            if (!schedule && (alus != 1 || issue != 4 || !fwd)) continue;
+            ProcessorConfig cfg;
+            cfg.num_alus = alus;
+            cfg.issue_width = issue;
+            cfg.forwarding = fwd;
+            backend::BackendOptions options;
+            options.schedule = schedule;
+            const Program p = asmtool::assemble(
+                backend::compile_ir_to_asm(m, cfg, options), cfg);
+            fresh << "workload " << w.name << (schedule ? "" : " unscheduled")
+                  << " a" << alus << " i" << issue << " f" << fwd << " "
+                  << digest(asmtool::disassemble(p)) << "\n";
+          }
+        }
+      }
+    }
+  }
+  for (const NamedConfig& nc : fuzz_configs()) {
+    Prng rng(0xA55E3B1Eull ^ fnv1a64(nc.name));
+    for (int i = 0; i < 25; ++i) {
+      fresh << "fuzz " << nc.name << " " << i << " "
+            << digest(asmtool::disassemble(random_program(rng, nc.cfg)))
+            << "\n";
+    }
+  }
+
+  const std::string path =
+      std::string(CEPIC_TEST_DIR) + "/golden/disasm_digests.txt";
+  if (std::getenv("CEPIC_REGEN_GOLDEN") != nullptr) {  // NOLINT(concurrency-mt-unsafe)
+    std::ofstream out(path, std::ios::binary);
+    out << fresh.str();
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << "missing golden corpus at " << path;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(golden.str(), fresh.str())
+      << "disassembly drifted from the committed digests; if the change "
+         "is intentional, update tests/golden/disasm_digests.txt";
 }
 
 }  // namespace
