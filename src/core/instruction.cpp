@@ -52,7 +52,8 @@ bool implements(const ProcessorConfig& cfg, Op op) {
   }
 }
 
-std::string to_string(const Instruction& inst) {
+std::string to_string(const Instruction& inst, std::string_view src1_text,
+                      std::string_view src2_text) {
   const OpInfo& info = inst.info();
   std::string s;
   if (inst.pred != 0) s += cat("(p", inst.pred, ") ");
@@ -72,11 +73,13 @@ std::string to_string(const Instruction& inst) {
   }
   if (info.src1 != SrcSpec::None) {
     comma();
-    s += operand_str(inst.src1, info.src1);
+    s += src1_text.empty() ? operand_str(inst.src1, info.src1)
+                           : std::string(src1_text);
   }
   if (info.src2 != SrcSpec::None) {
     comma();
-    s += operand_str(inst.src2, info.src2);
+    s += src2_text.empty() ? operand_str(inst.src2, info.src2)
+                           : std::string(src2_text);
   }
   return s;
 }

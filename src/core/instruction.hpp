@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/config.hpp"
@@ -65,7 +66,10 @@ struct Instruction {
 };
 
 /// Human-readable assembly rendering, e.g. "(p3) add r1, r2, #-5".
-std::string to_string(const Instruction& inst);
+/// Non-empty `src1_text`/`src2_text` print in place of that source
+/// operand (the assembler's `@symbol` references).
+std::string to_string(const Instruction& inst, std::string_view src1_text = {},
+                      std::string_view src2_text = {});
 
 /// Number of registers in `file` on `cfg` (0 for RegFile::None).
 unsigned reg_file_size(const ProcessorConfig& cfg, RegFile file);

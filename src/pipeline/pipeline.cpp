@@ -220,10 +220,27 @@ analysis::LintReport Service::lint_ir(std::string_view source, bool werror) {
   return report;
 }
 
+asmtool::Listing Service::compile_listing(std::string_view source,
+                                          const ProcessorConfig& slice,
+                                          std::uint32_t stack_top) {
+  const ir::Module module = compile_module(source);
+  backend::BackendOptions backend_options = options_.codegen.backend;
+  backend_options.stack_top = stack_top;
+  // Compile against the slice: identical output by the partition
+  // contract, and canonical — the artifact serves every simulation-only
+  // variant of the config byte-for-byte.
+  asmtool::Listing listing =
+      backend::compile_ir_to_listing(module, slice, backend_options);
+  std::unique_lock<std::mutex> lock(mu_);
+  ++backend_runs_;
+  return listing;
+}
+
 std::string Service::compile_asm_at(std::string_view source,
                                     const ProcessorConfig& config,
                                     std::uint32_t stack_top,
-                                    bool* from_store) {
+                                    bool* from_store,
+                                    std::optional<asmtool::Listing>* listing) {
   obs::Span span("compile_asm", "pipeline");
   const ProcessorConfig slice = codegen_slice(config);
   const ArtifactId id = artifact(Granularity::kAsm, source, slice, stack_top);
@@ -235,26 +252,18 @@ std::string Service::compile_asm_at(std::string_view source,
   }
   if (from_store) *from_store = false;
   span.arg("cached", "miss");
-  const ir::Module module = compile_module(source);
-  backend::BackendOptions backend_options = options_.codegen.backend;
-  backend_options.stack_top = stack_top;
-  // Compile against the slice: identical output by the partition
-  // contract, and canonical — the blob serves every simulation-only
-  // variant of `config` byte-for-byte.
-  std::string asm_text =
-      backend::compile_ir_to_asm(module, slice, backend_options);
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    ++backend_runs_;
-  }
+  asmtool::Listing compiled = compile_listing(source, slice, stack_top);
+  std::string asm_text = asmtool::to_text(compiled);
   store_.put(id, asm_text);
+  if (listing) *listing = std::move(compiled);
   return asm_text;
 }
 
 Program Service::compile_program_at(std::string_view source,
                                     const ProcessorConfig& config,
                                     std::uint32_t stack_top,
-                                    bool* from_store) {
+                                    bool* from_store,
+                                    const asmtool::Listing* listing) {
   obs::Span span("compile_program", "pipeline");
   obs::ScopedObserve latency("pipeline.compile_ns");
   const ProcessorConfig slice = codegen_slice(config);
@@ -273,13 +282,10 @@ Program Service::compile_program_at(std::string_view source,
   }
   if (from_store) *from_store = false;
   span.arg("cached", "miss");
-  const std::string asm_text =
-      compile_asm_at(source, config, stack_top, nullptr);
-  program = asmtool::assemble(asm_text, slice);
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    ++assemble_runs_;
-  }
+  program = listing != nullptr
+                ? asmtool::encode(*listing, slice)
+                : asmtool::encode(compile_listing(source, slice, stack_top),
+                                  slice);
   store_.put(id, program);
   if (options_.verify) verify_program(program, lint_id);
   program.config = config;
@@ -340,10 +346,15 @@ CompileArtifacts Service::compile(std::string_view source,
   CompileArtifacts artifacts;
   const std::uint32_t stack_top = options_.codegen.backend.stack_top;
   artifacts.module = compile_module(source);
-  artifacts.asm_text =
-      compile_asm_at(source, config, stack_top, &artifacts.asm_from_store);
-  artifacts.program = compile_program_at(source, config, stack_top,
-                                         &artifacts.program_from_store);
+  // A cold compile runs the backend once: its Listing is both printed
+  // and encoded.
+  std::optional<asmtool::Listing> listing;
+  artifacts.asm_text = compile_asm_at(source, config, stack_top,
+                                      &artifacts.asm_from_store, &listing);
+  artifacts.program =
+      compile_program_at(source, config, stack_top,
+                         &artifacts.program_from_store,
+                         listing ? &*listing : nullptr);
   return artifacts;
 }
 
@@ -619,7 +630,6 @@ void publish_stats(const ServiceStats& s) {
   obs::Registry& r = obs::Registry::instance();
   r.set_counter("pipeline.frontend_runs", s.frontend_runs);
   r.set_counter("pipeline.backend_runs", s.backend_runs);
-  r.set_counter("pipeline.assemble_runs", s.assemble_runs);
   r.set_counter("pipeline.module_decodes", s.module_decodes);
   r.set_counter("pipeline.simulations", s.simulations);
   r.set_counter("pipeline.lint_runs", s.lint_runs);
@@ -666,7 +676,6 @@ ServiceStats Service::stats() const {
   std::unique_lock<std::mutex> lock(mu_);
   s.frontend_runs = frontend_runs_;
   s.backend_runs = backend_runs_;
-  s.assemble_runs = assemble_runs_;
   s.module_decodes = module_decodes_;
   s.simulations = simulations_;
   s.lint_runs = lint_runs_;

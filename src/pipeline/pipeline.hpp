@@ -66,6 +66,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -124,7 +125,7 @@ struct Options {
 /// granularities were served without recompilation.
 struct CompileArtifacts {
   ir::Module module;     ///< optimised IR
-  std::string asm_text;  ///< backend output fed to the assembler
+  std::string asm_text;  ///< the backend's Listing printed as assembly
   Program program;       ///< assembled machine code, config == requested
   bool asm_from_store = false;
   bool program_from_store = false;
@@ -150,8 +151,7 @@ struct RunOutcome {
 struct ServiceStats {
   StoreStats store;                  ///< per-granularity blob hits/misses
   std::uint64_t frontend_runs = 0;   ///< MiniC -> optimised IR executions
-  std::uint64_t backend_runs = 0;    ///< IR -> assembly executions
-  std::uint64_t assemble_runs = 0;   ///< assembly -> Program executions
+  std::uint64_t backend_runs = 0;    ///< IR -> Listing executions
   std::uint64_t module_decodes = 0;  ///< Modules loaded from the binary
                                      ///< store (no reparse, no frontend)
   std::uint64_t simulations = 0;     ///< cycle-level simulations executed
@@ -165,7 +165,7 @@ struct ServiceStats {
 
   /// Total compilation-stage executions (any stage, any granularity).
   std::uint64_t compiles() const {
-    return frontend_runs + backend_runs + assemble_runs;
+    return frontend_runs + backend_runs;
   }
 };
 
@@ -263,12 +263,23 @@ private:
   ArtifactId artifact(Granularity g, std::string_view source,
                       const ProcessorConfig& slice,
                       std::uint32_t stack_top) const;
+  /// Frontend + backend for `slice` (counts a backend run).
+  asmtool::Listing compile_listing(std::string_view source,
+                                   const ProcessorConfig& slice,
+                                   std::uint32_t stack_top);
+  /// The kAsm artifact; on a miss also hands the compiled Listing to
+  /// `listing` when non-null.
   std::string compile_asm_at(std::string_view source,
                              const ProcessorConfig& config,
-                             std::uint32_t stack_top, bool* from_store);
+                             std::uint32_t stack_top, bool* from_store,
+                             std::optional<asmtool::Listing>* listing =
+                                 nullptr);
+  /// The kProgram artifact; on a miss encodes `listing` when non-null,
+  /// else compiles one. Never prints or parses assembly text.
   Program compile_program_at(std::string_view source,
                              const ProcessorConfig& config,
-                             std::uint32_t stack_top, bool* from_store);
+                             std::uint32_t stack_top, bool* from_store,
+                             const asmtool::Listing* listing = nullptr);
   /// The Options::verify gate: lint `program` (store-cached at
   /// `lint_id`, sharing the program artifact's digest) and throw Error
   /// with the rendered report when it is not clean.
@@ -284,7 +295,6 @@ private:
   std::map<std::uint64_t, ir::Module> modules_;  ///< ir digest -> IR
   std::uint64_t frontend_runs_ = 0;
   std::uint64_t backend_runs_ = 0;
-  std::uint64_t assemble_runs_ = 0;
   std::uint64_t module_decodes_ = 0;
   std::uint64_t simulations_ = 0;
   std::uint64_t lint_runs_ = 0;

@@ -822,8 +822,7 @@ TEST(PublishStats, FoldsServiceCountersIntoRegistry) {
   };
   EXPECT_EQ(get("pipeline.frontend_runs"), 1u);
   EXPECT_EQ(get("pipeline.backend_runs"), 1u);
-  EXPECT_EQ(get("pipeline.assemble_runs"), 1u);
-  EXPECT_EQ(get("pipeline.compiles"), 3u);
+  EXPECT_EQ(get("pipeline.compiles"), 2u);
   EXPECT_EQ(get("store.program.puts"), 1u);
 }
 

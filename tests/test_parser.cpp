@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "frontend/ast.hpp"
+#include "frontend/irgen.hpp"
 #include "support/error.hpp"
 
 namespace cepic::minic {
@@ -116,6 +117,41 @@ TEST(Parser, RejectsSyntaxErrors) {
 
 TEST(Parser, RejectsUnterminatedBlock) {
   EXPECT_THROW(parse_src("int f() { int a;"), CompileError);
+}
+
+std::string repeat(std::string_view piece, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += piece;
+  return out;
+}
+
+TEST(Parser, DeepNestingIsACompileErrorNotACrash) {
+  // 20k parentheses used to overflow the stack (SIGSEGV).
+  const std::string deep = "int main() { return " + repeat("(", 20000) + "1" +
+                           repeat(")", 20000) + "; }";
+  try {
+    (void)compile_to_ir(deep);
+    FAIL() << "expected a CompileError";
+  } catch (const CompileError& e) {
+    EXPECT_EQ(e.line(), 1);
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(parse_src("int f() { " + repeat("-", 20000) + "1; }"),
+               CompileError);
+  EXPECT_THROW(parse_src("int f() { int a; " + repeat("a = ", 20000) + "1; }"),
+               CompileError);
+  EXPECT_THROW(parse_src("int f() { return " + repeat("1 ? 1 : ", 20000) +
+                         "1; }"),
+               CompileError);
+  EXPECT_THROW(parse_src("int f() " + repeat("{", 20000) + repeat("}", 20000)),
+               CompileError);
+  // Ordinary depths still parse.
+  EXPECT_NO_THROW(parse_src("int f() { return " + repeat("(", 100) + "1" +
+                            repeat(")", 100) + "; }"));
+  EXPECT_NO_THROW(
+      parse_src("int f() " + repeat("{", 100) + repeat("}", 100)));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "asmtool/assembler.hpp"
 #include "backend/backend.hpp"
 #include "explore/explore.hpp"
 #include "frontend/irgen.hpp"
@@ -122,7 +123,6 @@ TEST(Service, SimOnlyVariantsCompileOnceAndMatchTheDeprecatedDriver) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.frontend_runs, 1u);
   EXPECT_EQ(stats.backend_runs, 1u);   // one compile serves both points
-  EXPECT_EQ(stats.assemble_runs, 1u);
   EXPECT_EQ(stats.simulations, 2u);    // but each point is simulated
 
   for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -148,6 +148,30 @@ TEST(Service, FrontendRunsOnceAcrossAluConfigs) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.frontend_runs, 1u);
   EXPECT_EQ(stats.backend_runs, 4u);  // each ALU count is real codegen
+}
+
+TEST(Service, ColdProgramCompilesWithoutAssemblyText) {
+  // compile_program encodes the backend's Listing directly: no kAsm
+  // artifact is printed or stored on the way.
+  Service program_only;
+  const Program direct = program_only.compile_program(kProg, {});
+  ServiceStats stats = program_only.stats();
+  EXPECT_EQ(stats.backend_runs, 1u);
+  EXPECT_EQ(stats.store.assembly.puts, 0u);
+  EXPECT_EQ(stats.store.program.puts, 1u);
+
+  // compile() wants both, and a cold store still runs the backend once.
+  Service both;
+  const CompileArtifacts artifacts = both.compile(kProg, {});
+  stats = both.stats();
+  EXPECT_EQ(stats.backend_runs, 1u);
+  EXPECT_EQ(stats.store.assembly.puts, 1u);
+  EXPECT_FALSE(artifacts.asm_from_store);
+  EXPECT_FALSE(artifacts.program_from_store);
+  EXPECT_EQ(serial::encode_program(artifacts.program),
+            serial::encode_program(direct));
+  EXPECT_EQ(serial::encode_program(asmtool::assemble(artifacts.asm_text, {})),
+            serial::encode_program(direct));
 }
 
 TEST(Service, CompiledProgramCarriesTheFullRequestedConfig) {
@@ -200,7 +224,6 @@ TEST(Service, StoreHitsAcrossProcessesAreByteIdenticalToColdCompiles) {
 
   const ServiceStats stats = warm.stats();
   EXPECT_EQ(stats.backend_runs, 0u);
-  EXPECT_EQ(stats.assemble_runs, 0u);
   EXPECT_GE(stats.store.program.hits, 1u);
   std::filesystem::remove_all(dir);
 }

@@ -367,7 +367,6 @@ inline void print_cache_stats(const char* tool,
   std::cerr << tool << ": cache-stats compiles=" << get("pipeline.compiles")
             << " frontend=" << get("pipeline.frontend_runs")
             << " backend=" << get("pipeline.backend_runs")
-            << " assemble=" << get("pipeline.assemble_runs")
             << " simulations=" << get("pipeline.simulations")
             << " result-hits=" << get("pipeline.result_hits")
             << " result-misses=" << get("pipeline.result_misses")
