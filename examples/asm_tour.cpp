@@ -40,7 +40,7 @@ int main() {
   )";
 
   std::cout << "--- assembling for the default 4-issue core ---\n";
-  const Program wide = asmtool::assemble_with_config_text(source, "");
+  const Program wide = asmtool::assemble(source, ProcessorConfig{});
   SimOptions opts;
   opts.collect_trace = true;
   EpicSimulator sim(wide, {}, opts);
@@ -59,7 +59,7 @@ int main() {
   std::cout << "\n--- retarget to a single-issue core (config text only, "
                "paper §4.2) ---\n";
   try {
-    asmtool::assemble_with_config_text(source, "issue_width = 1\n");
+    asmtool::assemble(source, ProcessorConfig::from_text("issue_width = 1\n"));
     std::cout << "unexpected: wide MultiOps accepted on a 1-issue core\n";
   } catch (const AsmError& e) {
     std::cout << "assembler (correctly) rejects the wide MultiOps:\n  "

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "asmtool/assembler.hpp"
 #include "core/instruction.hpp"
 
 namespace cepic::backend {
@@ -74,12 +75,13 @@ struct MFunc {
   std::uint32_t num_vbtr = 0;
 };
 
-/// A scheduled function: per block, a list of MultiOp bundles.
+/// A scheduled function: per block, its MultiOps in the assembler's
+/// bundle model (a PBR's MInst::target becomes its `@label` src1).
 struct ScheduledFunc {
   std::string name;
   struct Block {
     std::string label;
-    std::vector<std::vector<MInst>> bundles;
+    std::vector<std::vector<asmtool::Listing::Op>> bundles;
   };
   std::vector<Block> blocks;
 };

@@ -103,7 +103,9 @@ ScheduledFunc schedule_function(const MFunc& fn, const Mdes& mdes,
     sblock.label = block.label;
 
     if (!schedule) {
-      for (const MInst& mi : block.insts) sblock.bundles.push_back({mi});
+      for (const MInst& mi : block.insts) {
+        sblock.bundles.push_back({{mi.inst, mi.target, {}, 0}});
+      }
       out.blocks.push_back(std::move(sblock));
       continue;
     }
@@ -220,7 +222,7 @@ ScheduledFunc schedule_function(const MFunc& fn, const Mdes& mdes,
       CEPIC_CHECK(cycle < 1000000u,
                   cat("scheduler failed to make progress in @", fn.name,
                       " block ", block.label));
-      std::vector<MInst> bundle;
+      std::vector<asmtool::Listing::Op> bundle;
       std::vector<int> placed;
       unsigned used[kClasses] = {};
       unsigned ports = 0;
@@ -246,7 +248,7 @@ ScheduledFunc schedule_function(const MFunc& fn, const Mdes& mdes,
         ports += slot[i] % kCosts;
         slot[i] = -1;
         placed.push_back(i);
-        bundle.push_back(block.insts[i]);
+        bundle.push_back({block.insts[i].inst, block.insts[i].target, {}, 0});
         ++scheduled;
         ++used[ops[i].fu];
         for (const Edge& e : succs[i]) {

@@ -138,9 +138,4 @@ constexpr unsigned custom_slot(Op op) {
   return static_cast<unsigned>(op) - static_cast<unsigned>(Op::CUSTOM0);
 }
 
-/// True if op is one of the compare-to-predicate operations.
-constexpr bool is_cmpp(Op op) {
-  return op >= Op::CMPP_EQ && op <= Op::CMPP_GEU;
-}
-
 }  // namespace cepic

@@ -28,17 +28,6 @@ struct RegKey {
   }
 };
 
-const char* fu_name(FuClass fu) {
-  switch (fu) {
-    case FuClass::Alu: return "ALU";
-    case FuClass::Cmpu: return "CMPU";
-    case FuClass::Lsu: return "LSU";
-    case FuClass::Bru: return "BRU";
-    case FuClass::None: break;
-  }
-  return "?";
-}
-
 /// Architectural read/write sets of one instruction, split by consumer:
 /// `port_reads` mirrors backend/schedule.cpp's classify() (guard reads
 /// and the guarded-def merge read included, r0/p0 hardwired values

@@ -6,8 +6,6 @@
 
 namespace cepic {
 
-namespace {
-
 const char* fu_name(FuClass fu) {
   switch (fu) {
     case FuClass::None: return "none";
@@ -18,8 +16,6 @@ const char* fu_name(FuClass fu) {
   }
   return "?";
 }
-
-}  // namespace
 
 Mdes::Mdes(const ProcessorConfig& cfg, const CustomOpTable* custom) {
   cfg.validate();

@@ -17,6 +17,9 @@
 
 namespace cepic {
 
+/// "ALU", "CMPU", "LSU", "BRU" ("none" for FuClass::None).
+const char* fu_name(FuClass fu);
+
 class Mdes {
 public:
   /// Build from a configuration; custom-op latencies are taken from

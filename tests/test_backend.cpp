@@ -248,7 +248,7 @@ TEST(Schedule, RespectsResourceLimitsAndDependences) {
       EXPECT_LE(bundle.size(), l.config.issue_width);
       unsigned alu = 0, cmpu = 0, lsu = 0, bru = 0;
       std::set<std::uint32_t> writes;
-      for (const MInst& mi : bundle) {
+      for (const auto& mi : bundle) {
         switch (mi.inst.info().fu) {
           case FuClass::Alu: ++alu; break;
           case FuClass::Cmpu: ++cmpu; break;
@@ -309,7 +309,7 @@ TEST(Schedule, SingleAluLimitsWidth) {
   for (const auto& block : sf.blocks) {
     for (const auto& bundle : block.bundles) {
       unsigned alu = 0;
-      for (const MInst& mi : bundle) {
+      for (const auto& mi : bundle) {
         if (mi.inst.info().fu == FuClass::Alu) ++alu;
       }
       EXPECT_LE(alu, 1u);
@@ -339,7 +339,7 @@ TEST(Schedule, BranchesStayLast) {
   for (const auto& block : sf.blocks) {
     bool saw_branch_bundle = false;
     for (const auto& bundle : block.bundles) {
-      for (const MInst& mi : bundle) {
+      for (const auto& mi : bundle) {
         if (mi.inst.info().is_branch) {
           // Branches may only appear in the trailing bundles.
           saw_branch_bundle = true;
@@ -347,7 +347,7 @@ TEST(Schedule, BranchesStayLast) {
       }
       if (saw_branch_bundle) {
         bool has_branch = false;
-        for (const MInst& mi : bundle) {
+        for (const auto& mi : bundle) {
           has_branch |= mi.inst.info().is_branch || mi.inst.op == Op::HALT;
         }
         EXPECT_TRUE(has_branch);
