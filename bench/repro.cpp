@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <functional>
-#include <iostream>
+#include <ostream>
 #include <map>
 
 #include "asmtool/assembler.hpp"
@@ -10,7 +10,6 @@
 #include "fpga/model.hpp"
 #include "pipeline/pipeline.hpp"
 #include "sarm/driver.hpp"
-#include "support/error.hpp"
 #include "support/text.hpp"
 #include "workloads/workloads.hpp"
 
@@ -35,10 +34,10 @@ const Point kSa110{"SA-110", {}, true, true};
 
 struct Experiment;
 
-/// A formatter's input: stats indexed [workload][point].
+/// A formatter's input: outcomes indexed [workload][point].
 struct Results {
   const Experiment& experiment;
-  std::vector<std::vector<SimStats>> stats;
+  std::vector<std::vector<pipeline::RunOutcome>> stats;
   bool ok = true;  ///< every output check passed
 };
 
@@ -383,45 +382,6 @@ workloads::Workload make_workload(const std::string& name, const Sizes& s) {
   return workloads::make_dijkstra(s.dijkstra_nodes);
 }
 
-/// Runs MiniC points: each (point, workload) pair once, however many
-/// experiments share it, and EPIC points through one long-lived Service
-/// per codegen variant, so a shared program compiles once.
-class Evaluator {
-public:
-  /// The stats of `p` on `w`. A run whose output differs from the
-  /// golden stream prints a `!!` line naming `what` and clears `ok`.
-  SimStats run(const workloads::Workload& w, const Point& p,
-               const std::string& what, std::ostream& out, bool& ok) {
-    auto [it, fresh] = runs_.try_emplace(
-        cat(p.sa110, p.if_convert, "|", w.name, "|", p.config.to_text()));
-    if (fresh && p.sa110) {
-      const sarm::SarmSimulator sim = sarm::run_minic_on_sarm(
-          w.minic_source, {}, {.max_cycles = kMaxCycles});
-      it->second = {{.cycles = sim.stats().cycles},
-                    sim.output() == w.expected_output};
-    } else if (fresh) {
-      pipeline::Options options;
-      options.codegen.opt.if_convert = p.if_convert;
-      options.sim.max_cycles = kMaxCycles;
-      pipeline::Service& service =
-          services_.try_emplace(p.if_convert, options).first->second;
-      const EpicSimulator sim = service.run(w.minic_source, p.config);
-      it->second = {sim.stats(), sim.output() == w.expected_output};
-    }
-    const auto& [stats, matched] = it->second;
-    if (!matched) {
-      out << "!! " << what
-          << ": OUTPUT MISMATCH vs golden — results invalid\n";
-    }
-    ok = ok && matched;
-    return stats;
-  }
-
-private:
-  std::map<std::string, std::pair<SimStats, bool>> runs_;
-  std::map<bool, pipeline::Service> services_;  ///< by if_convert
-};
-
 }  // namespace
 
 std::vector<std::string> experiment_names() {
@@ -432,7 +392,8 @@ std::vector<std::string> experiment_names() {
 
 bool run(const std::vector<std::string>& names, const Sizes& sizes,
          std::ostream& out) {
-  Evaluator evaluator;
+  std::map<bool, pipeline::Service> services;         ///< by if_convert
+  std::map<std::string, pipeline::RunOutcome> sa110;  ///< by workload
   bool ok = true;
   for (const Experiment& e : experiments()) {
     if (!names.empty() && std::ranges::find(names, e.name) == names.end()) {
@@ -441,13 +402,51 @@ bool run(const std::vector<std::string>& names, const Sizes& sizes,
     out << "=== " << e.title << " ===\n";
     if (!e.subtitle.empty()) out << "(" << expand(e.subtitle, sizes) << ")\n";
     out << "\n";
-    Results r{e, {}};
+    std::vector<workloads::Workload> ws;
+    std::vector<std::string> sources;
     for (const std::string& name : e.workloads) {
-      const workloads::Workload w = make_workload(name, sizes);
-      auto& stats = r.stats.emplace_back();
-      for (const Point& p : e.points) {
-        const std::string what = cat(e.name, "/", name, "/", p.label);
-        stats.push_back(evaluator.run(w, p, what, out, r.ok));
+      ws.push_back(make_workload(name, sizes));
+      sources.push_back(ws.back().minic_source);
+    }
+    Results r{e, std::vector(ws.size(), std::vector<pipeline::RunOutcome>(
+                                            e.points.size()))};
+    std::map<bool, std::vector<std::size_t>> variants;  ///< EPIC points
+    for (std::size_t p = 0; p < e.points.size(); ++p) {
+      if (!e.points[p].sa110) variants[e.points[p].if_convert].push_back(p);
+    }
+    for (const auto& [if_convert, cols] : variants) {
+      pipeline::Options options;
+      options.codegen.opt.if_convert = if_convert;
+      options.sim.max_cycles = kMaxCycles;
+      options.jobs = 0;
+      std::vector<ProcessorConfig> configs;
+      for (const std::size_t p : cols) configs.push_back(e.points[p].config);
+      const std::vector<pipeline::RunOutcome> outcomes =
+          services.try_emplace(if_convert, options)
+              .first->second.run_batch(sources, configs);
+      for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        r.stats[i / cols.size()][cols[i % cols.size()]] = outcomes[i];
+      }
+    }
+    for (std::size_t w = 0; w < ws.size(); ++w) {
+      for (std::size_t p = 0; p < e.points.size(); ++p) {
+        pipeline::RunOutcome& o = r.stats[w][p];
+        if (e.points[p].sa110) {  // cycles and the output check only
+          const auto [it, fresh] = sa110.try_emplace(ws[w].name);
+          if (fresh) {
+            const sarm::SarmSimulator sim = sarm::run_minic_on_sarm(
+                ws[w].minic_source, {}, {.max_cycles = kMaxCycles});
+            it->second.cycles = sim.stats().cycles;
+            it->second.set_output(sim.output());
+          }
+          o = it->second;
+        }
+        if (!o.matches(ws[w].expected_output)) {
+          out << "!! " << cat(e.name, "/", ws[w].name, "/", e.points[p].label)
+              << ": OUTPUT MISMATCH vs golden — results invalid"
+              << (o.ok ? "" : cat(": ", o.error)) << "\n";
+          r.ok = false;
+        }
       }
     }
     e.format(r, out);

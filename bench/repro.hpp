@@ -1,7 +1,8 @@
 // The paper-reproduction experiments (DESIGN.md §4: Table 1, Figs 3-5,
-// §5.1 resource usage, ablations A1-A5) as one table of data, run by one
-// evaluator. bench_repro is the command-line front end;
-// tests/test_repro.cpp pins every experiment's output byte for byte.
+// §5.1 resource usage, ablations A1-A5) as one table of data, run as
+// batches on long-lived pipeline::Services. bench_repro is the
+// command-line front end; tests/test_repro.cpp pins every experiment's
+// output byte for byte.
 #pragma once
 
 #include <iosfwd>
@@ -23,8 +24,8 @@ std::vector<std::string> experiment_names();
 
 /// Run the named experiments (all when `names` is empty) in DESIGN.md
 /// order, printing their tables to `out`. Sizes must be positive, DCT's
-/// a multiple of 8. Returns false when a simulated output differed from
-/// its golden; the `!!` line saying which is printed in place.
+/// a multiple of 8. Returns false when a point failed or missed its
+/// golden output; a `!!` line before the table says which.
 bool run(const std::vector<std::string>& names, const Sizes& sizes,
          std::ostream& out);
 

@@ -5,6 +5,7 @@
 
 #include "core/custom.hpp"
 #include "fpga/model.hpp"
+#include "support/bits.hpp"
 #include "support/text.hpp"
 
 namespace cepic::explore {
@@ -12,8 +13,8 @@ namespace cepic::explore {
 namespace {
 
 /// Fill the derived analytic fields of a point from its config and the
-/// cached/simulated cycle count. Pure function of (config, cycles,
-/// ops_committed) — identical for cached and fresh points.
+/// cached/simulated cycle count. Pure function of (config, cycles) —
+/// identical for cached and fresh points.
 void fill_analytics(PointResult& p) {
   const CustomOpTable custom = CustomOpTable::for_names(p.config.custom_ops);
   const fpga::ResourceEstimate area = fpga::estimate(p.config, &custom);
@@ -23,9 +24,6 @@ void fill_analytics(PointResult& p) {
   p.fmax_mhz = area.fmax_mhz;
   p.power_mw = fpga::estimate_power(area).total();
   p.time_ms = static_cast<double>(p.cycles) / (area.fmax_mhz * 1e3);
-  p.ilp = p.cycles == 0 ? 0.0
-                        : static_cast<double>(p.ops_committed) /
-                              static_cast<double>(p.cycles);
 }
 
 /// True if `a` Pareto-dominates `b` on (cycles, slices, power).
@@ -67,7 +65,7 @@ std::string SweepResult::to_csv() const {
     csv += cat(i, ",", p.config.summary(), ",", p.config.num_alus, ",",
                p.config.issue_width, ",", p.config.reg_port_budget, ",",
                p.config.pipeline_stages, ",", p.ok ? 1 : 0, ",", p.cycles, ",",
-               fixed(p.ilp, 3), ",", fixed(p.slices, 0), ",", p.block_rams,
+               fixed(p.ilp(), 3), ",", fixed(p.slices, 0), ",", p.block_rams,
                ",", p.block_mults, ",", fixed(p.fmax_mhz, 1), ",",
                fixed(p.time_ms, 3), ",", fixed(p.power_mw, 1), ",",
                p.output_words, ",", hex64(p.output_hash), ",", p.ret, ",",
@@ -88,7 +86,7 @@ std::string SweepResult::to_json() const {
        << "\", \"config_hash\": \"" << hex64(p.config_hash)
        << "\", \"ok\": " << (p.ok ? "true" : "false");
     if (p.ok) {
-      os << ", \"cycles\": " << p.cycles << ", \"ilp\": " << fixed(p.ilp, 3)
+      os << ", \"cycles\": " << p.cycles << ", \"ilp\": " << fixed(p.ilp(), 3)
          << ", \"slices\": " << fixed(p.slices, 0)
          << ", \"brams\": " << p.block_rams << ", \"mults\": " << p.block_mults
          << ", \"fmax_mhz\": " << fixed(p.fmax_mhz, 1)
@@ -123,20 +121,11 @@ SweepBatch run_sweep_batch(const std::vector<std::string>& sources,
     result.points.resize(cols);
     for (std::size_t p = 0; p < cols; ++p) {
       PointResult& point = result.points[p];
-      const pipeline::RunOutcome& out = outcomes[w * cols + p];
+      static_cast<pipeline::RunOutcome&>(point) = outcomes[w * cols + p];
       point.config = spec.points[p];
       point.config_hash = spec.points[p].stable_hash();
-      point.ok = out.ok;
-      point.error = out.error;
-      point.from_cache = out.from_result_cache;
-      if (point.from_cache) ++result.cache_hits;
-      if (!out.ok) continue;
-      point.cycles = out.cycles;
-      point.ops_committed = out.ops_committed;
-      point.output_words = out.output_words;
-      point.output_hash = out.output_hash;
-      point.ret = out.ret;
-      fill_analytics(point);
+      if (point.from_result_cache) ++result.cache_hits;
+      if (point.ok) fill_analytics(point);
     }
   }
   batch.stats = service.stats();

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,36 +28,18 @@
 #include "core/config.hpp"
 #include "explore/sweep.hpp"
 #include "pipeline/pipeline.hpp"
-#include "support/bits.hpp"
 
 namespace cepic::explore {
 
-/// Stable fingerprint of an OUT stream (each word folded LSB-first into
-/// a 64-bit FNV-1a hash). Used to compare a sweep point's output against
-/// a golden stream without retaining the stream itself.
-inline std::uint64_t hash_output(std::span<const std::uint32_t> words) {
-  return fnv1a64_words(words);
-}
-
-/// Outcome of one sweep point. When `ok` is false the point failed to
-/// compile or simulate and `error` carries the diagnostic; the metric
-/// fields are zero.
-struct PointResult {
+/// Outcome of one sweep point: the batch's RunOutcome for it plus the
+/// FPGA analytics. When `ok` is false the point failed to compile or
+/// simulate and `error` carries the diagnostic; the metric fields are
+/// zero. `from_result_cache` is not exported.
+struct PointResult : pipeline::RunOutcome {
   ProcessorConfig config;
   std::uint64_t config_hash = 0;
-  bool ok = false;
-  std::string error;
-  bool from_cache = false;  ///< served by the result cache (not exported)
-
-  // Simulation outcome (cacheable, integers).
-  std::uint64_t cycles = 0;
-  std::uint64_t ops_committed = 0;
-  std::uint64_t output_words = 0;
-  std::uint64_t output_hash = 0;
-  std::uint32_t ret = 0;
 
   // Derived analytics (recomputed from config + cycles on every run).
-  double ilp = 0;
   double slices = 0;
   unsigned block_rams = 0;
   unsigned block_mults = 0;

@@ -395,9 +395,10 @@ std::vector<RunOutcome> Service::run_batch(
   const std::size_t cols = configs.size();
   std::vector<RunOutcome> outcomes(sources.size() * cols);
 
-  ResultCache results;
   const std::string results_path = result_cache_path();
-  if (!results_path.empty()) results.load_file(results_path);
+  std::call_once(results_loaded_, [&] {
+    if (!results_path.empty()) results_.load_file(results_path);
+  });
 
   const std::uint32_t stack_top =
       static_cast<std::uint32_t>(options_.sim.mem_size);
@@ -438,9 +439,7 @@ std::vector<RunOutcome> Service::run_batch(
   // work (with a 1-thread pool the claimer always finishes first).
   struct SimDedupEntry {
     bool done = false;
-    bool ok = false;
-    std::string error;
-    CacheEntry result;
+    RunOutcome outcome;
   };
   struct SimDedup {
     std::mutex m;
@@ -461,15 +460,8 @@ std::vector<RunOutcome> Service::run_batch(
         continue;
       }
       const ResultCache::Key key{source_hash, configs[p].stable_hash()};
-      CacheEntry entry;
-      if (results.lookup(key, entry)) {
-        out.ok = true;
+      if (results_.lookup(key, out)) {
         out.from_result_cache = true;
-        out.cycles = entry.cycles;
-        out.ops_committed = entry.ops_committed;
-        out.output_words = entry.output_words;
-        out.output_hash = entry.output_hash;
-        out.ret = entry.ret;
         continue;
       }
       groups[artifact(Granularity::kProgram, sources[w],
@@ -486,8 +478,8 @@ std::vector<RunOutcome> Service::run_batch(
       (void)key;
       const std::vector<Item>* group = &items;
       const std::uint64_t submit_ns = obs::now_ns();
-      pool.submit([this, group, &sources, &configs, &outcomes, &results,
-                   &pool, &dedup, stack_top, submit_ns] {
+      pool.submit([this, group, &sources, &configs, &outcomes, &pool, &dedup,
+                   stack_top, submit_ns] {
         obs::Span task_span("batch.compile", "pipeline");
         const std::uint64_t wait_ns = obs::now_ns() - submit_ns;
         obs::observe("pipeline.queue_wait_ns", wait_ns);
@@ -509,26 +501,16 @@ std::vector<RunOutcome> Service::run_batch(
         for (const Item& item : *group) {
           const Item* it = &item;
           const std::uint64_t sim_submit_ns = obs::now_ns();
-          pool.submit([this, shared, it, &configs, &outcomes, &results,
-                       &dedup, sim_submit_ns] {
+          pool.submit([this, shared, it, &configs, &outcomes, &dedup,
+                       sim_submit_ns] {
             obs::Span task_span("batch.simulate", "pipeline");
             const std::uint64_t wait_ns = obs::now_ns() - sim_submit_ns;
             obs::observe("pipeline.queue_wait_ns", wait_ns);
             task_span.arg("queue_wait_ns", wait_ns);
             RunOutcome& out = outcomes[it->index];
-            const auto deliver = [&](const SimDedupEntry& e) {
-              if (e.ok) {
-                results.insert(it->key, e.result);
-                out.ok = true;
-                out.cycles = e.result.cycles;
-                out.ops_committed = e.result.ops_committed;
-                out.output_words = e.result.output_words;
-                out.output_hash = e.result.output_hash;
-                out.ret = e.result.ret;
-              } else {
-                out.ok = false;
-                out.error = e.error;
-              }
+            const auto deliver = [&](const RunOutcome& outcome) {
+              if (outcome.ok) results_.insert(it->key, outcome);
+              out = outcome;
             };
 
             std::uint64_t digest = 0;
@@ -557,7 +539,7 @@ std::vector<RunOutcome> Service::run_batch(
                 // touching any other lock (the result cache inside
                 // deliver, the stats mutex): every mutex on this path
                 // stays a leaf, so no lock order can invert.
-                const SimDedupEntry finished = slot->second;
+                const RunOutcome finished = slot->second.outcome;
                 lk.unlock();
                 deliver(finished);
                 task_span.arg("dedup", "hit");
@@ -567,7 +549,7 @@ std::vector<RunOutcome> Service::run_batch(
               }
             }
 
-            SimDedupEntry entry;
+            RunOutcome outcome;
             try {
               Program program = *shared;
               // Re-stamp the full config: the simulator reads the
@@ -581,24 +563,19 @@ std::vector<RunOutcome> Service::run_batch(
                 obs::ScopedObserve latency("pipeline.simulate_ns");
                 sim.run();
               }
-              entry.ok = true;
-              entry.result.cycles = sim.stats().cycles;
-              entry.result.ops_committed = sim.stats().ops_committed;
-              entry.result.output_words = sim.output().size();
-              entry.result.output_hash = fnv1a64_words(sim.output());
-              entry.result.ret = sim.gpr(3);
+              static_cast<SimStats&>(outcome) = sim.stats();
+              outcome.set_output(sim.output());
+              outcome.ret = sim.gpr(3);
               std::unique_lock<std::mutex> lock(mu_);
               ++simulations_;
             } catch (const std::exception& e) {
               obs::flight_record_fault(e.what());
-              entry.ok = false;
-              entry.error = e.what();
+              outcome.error = e.what();
             }
-            deliver(entry);
+            deliver(outcome);
             {
               std::unique_lock<std::mutex> lk(dedup.m);
-              slot->second = entry;
-              slot->second.done = true;
+              slot->second = {true, outcome};
             }
             dedup.cv.notify_all();
           });
@@ -608,20 +585,11 @@ std::vector<RunOutcome> Service::run_batch(
     pool.wait();
   }
 
-  {
-    // Snapshot the cache counters before taking the stats mutex so the
-    // two locks never nest (keep mu_ a leaf lock).
-    const std::uint64_t hits = results.hits();
-    const std::uint64_t misses = results.misses();
-    std::unique_lock<std::mutex> lock(mu_);
-    result_hits_ += hits;
-    result_misses_ += misses;
-  }
   if (!results_path.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(
         std::filesystem::path(results_path).parent_path(), ec);
-    results.save_file(results_path);
+    results_.save_file(results_path);
   }
   return outcomes;
 }
@@ -673,6 +641,10 @@ EpicSimulator run_once(std::string_view source, const ProcessorConfig& config,
 ServiceStats Service::stats() const {
   ServiceStats s;
   s.store = store_.stats();
+  // Read before taking mu_ so the two locks never nest (mu_ stays a
+  // leaf lock).
+  s.result_hits = results_.hits();
+  s.result_misses = results_.misses();
   std::unique_lock<std::mutex> lock(mu_);
   s.frontend_runs = frontend_runs_;
   s.backend_runs = backend_runs_;
@@ -680,8 +652,6 @@ ServiceStats Service::stats() const {
   s.simulations = simulations_;
   s.lint_runs = lint_runs_;
   s.ir_lint_runs = ir_lint_runs_;
-  s.result_hits = result_hits_;
-  s.result_misses = result_misses_;
   s.sim_dedup_hits = sim_dedup_hits_;
   return s;
 }

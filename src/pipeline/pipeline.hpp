@@ -131,21 +131,6 @@ struct CompileArtifacts {
   bool program_from_store = false;
 };
 
-/// Outcome of one batch item ((source, config) pair). When `ok` is
-/// false the item failed to compile or simulate and `error` carries the
-/// diagnostic; the metric fields are zero.
-struct RunOutcome {
-  bool ok = false;
-  std::string error;
-  bool from_result_cache = false;  ///< simulation skipped entirely
-
-  std::uint64_t cycles = 0;
-  std::uint64_t ops_committed = 0;
-  std::uint64_t output_words = 0;
-  std::uint64_t output_hash = 0;  ///< FNV-1a fingerprint of the OUT stream
-  std::uint32_t ret = 0;          ///< main's return value (r3)
-};
-
 /// Counters for `--cache-stats`. compiles() == 0 on a fully warm run is
 /// the "zero recompilations" acceptance signal.
 struct ServiceStats {
@@ -158,7 +143,7 @@ struct ServiceStats {
   std::uint64_t lint_runs = 0;       ///< mcheck verifications executed
   std::uint64_t ir_lint_runs = 0;    ///< IR-level lint executions
   std::uint64_t result_hits = 0;     ///< batch items served from results
-  std::uint64_t result_misses = 0;
+  std::uint64_t result_misses = 0;   ///< (the result cache's own counters)
   /// Batch items answered by another item's in-flight simulation (same
   /// program bytes under sim_slice()-canonical config).
   std::uint64_t sim_dedup_hits = 0;
@@ -242,8 +227,11 @@ public:
   /// One compile task per unique (source, codegen-slice) feeds the
   /// simulate tasks that depend on it through one shared thread pool;
   /// items already answered by the result cache schedule no work at
-  /// all. Per-item failures are captured in the RunOutcome; only
-  /// infrastructure failures (unwritable store/cache) escape.
+  /// all. The result cache lives as long as the Service: its file is
+  /// loaded on the first call and saved after every call, so a repeated
+  /// point is answered from memory. Per-item failures are captured in
+  /// the RunOutcome; only infrastructure failures (unwritable
+  /// store/cache) escape.
   std::vector<RunOutcome> run_batch(const std::vector<std::string>& sources,
                                     const std::vector<ProcessorConfig>& configs);
 
@@ -289,6 +277,8 @@ private:
   Options options_;
   Store store_;
   std::string codegen_text_;  ///< canonical codegen-options key material
+  ResultCache results_;       ///< simulation outcomes, whole lifetime
+  std::once_flag results_loaded_;  ///< file read on the first run_batch
 
   mutable std::mutex mu_;
   std::mutex build_mu_;  ///< serialises IR builds so each runs once
@@ -299,8 +289,6 @@ private:
   std::uint64_t simulations_ = 0;
   std::uint64_t lint_runs_ = 0;
   std::uint64_t ir_lint_runs_ = 0;
-  std::uint64_t result_hits_ = 0;
-  std::uint64_t result_misses_ = 0;
   std::uint64_t sim_dedup_hits_ = 0;
 };
 

@@ -1,8 +1,12 @@
 #include "pipeline/result_cache.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
+#include "pipeline/store.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
 
@@ -10,30 +14,57 @@ namespace cepic::pipeline {
 
 namespace {
 
+/// The SimStats counters a line carries, in file order.
+constexpr std::uint64_t SimStats::*kCounters[] = {
+    &SimStats::cycles,           &SimStats::bundles_issued,
+    &SimStats::ops_executed,     &SimStats::ops_committed,
+    &SimStats::ops_nullified,    &SimStats::nops,
+    &SimStats::stall_scoreboard, &SimStats::stall_reg_ports,
+    &SimStats::stall_mem_contention, &SimStats::branch_bubbles,
+    &SimStats::mem_reads,        &SimStats::mem_writes,
+    &SimStats::branches_taken,   &SimStats::branches_not_taken,
+};
+
+// v2 <src hex> <cfg hex> <counters> <trace_truncated> <histogram>
+//    <exec_tier> <out_words> <out_hash hex> <ret>
+constexpr std::size_t kFields = 3 + std::size(kCounters) + 1 +
+                                (SimStats::kMaxBundleWidth + 1) + 1 + 3;
+
 bool parse_u64(std::string_view s, std::uint64_t& out, bool hex) {
-  if (s.empty()) return false;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    unsigned digit = 0;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<unsigned>(c - '0');
-    } else if (hex && c >= 'a' && c <= 'f') {
-      digit = static_cast<unsigned>(c - 'a') + 10;
-    } else {
-      return false;
-    }
-    const std::uint64_t base = hex ? 16 : 10;
-    if (v > (~std::uint64_t{0} - digit) / base) return false;  // overflow
-    v = v * base + digit;
-  }
-  out = v;
-  return true;
+  const char* end = s.data() + s.size();
+  const auto [stop, ec] = std::from_chars(s.data(), end, out, hex ? 16 : 10);
+  return ec == std::errc() && stop == end;
 }
 
-std::string to_hex(std::uint64_t v) {
-  std::ostringstream os;
-  os << std::hex << v;
-  return os.str();
+/// Parse one `v2` line's fields into `key` and `out`; false when any
+/// field is malformed or out of range.
+bool parse_entry(const std::vector<std::string_view>& fields,
+                 ResultCache::Key& key, RunOutcome& out) {
+  std::size_t at = 1;
+  const auto next = [&](std::uint64_t& v, bool hex = false) {
+    return parse_u64(fields[at++], v, hex);
+  };
+  if (!next(key.first, true) || !next(key.second, true)) return false;
+  for (const auto counter : kCounters) {
+    if (!next(out.*counter)) return false;
+  }
+  std::uint64_t truncated = 0;
+  if (!next(truncated) || truncated > 1) return false;
+  out.trace_truncated = truncated == 1;
+  for (std::uint64_t& bucket : out.bundle_width_hist) {
+    if (!next(bucket)) return false;
+  }
+  std::uint64_t tier = 0;
+  std::uint64_t ret = 0;
+  if (!next(tier) || tier > static_cast<std::uint64_t>(ExecTier::Threaded) ||
+      !next(out.output_words) || !next(out.output_hash, true) || !next(ret) ||
+      ret > 0xFFFFFFFFull) {
+    return false;
+  }
+  out.exec_tier = static_cast<ExecTier>(tier);
+  out.ret = static_cast<std::uint32_t>(ret);
+  out.ok = true;
+  return true;
 }
 
 }  // namespace
@@ -45,22 +76,14 @@ std::size_t ResultCache::load_file(const std::string& path) {
   std::string line;
   while (std::getline(in, line)) {
     const auto fields = split_ws(line);
-    // v1 <src_hash hex> <cfg_hash hex> <cycles> <ops> <words> <hash hex> <ret>
-    if (fields.size() != 8 || fields[0] != "v1") continue;
     Key key;
-    CacheEntry e;
-    std::uint64_t ret64 = 0;
-    if (!parse_u64(fields[1], key.first, /*hex=*/true)) continue;
-    if (!parse_u64(fields[2], key.second, /*hex=*/true)) continue;
-    if (!parse_u64(fields[3], e.cycles, /*hex=*/false)) continue;
-    if (!parse_u64(fields[4], e.ops_committed, /*hex=*/false)) continue;
-    if (!parse_u64(fields[5], e.output_words, /*hex=*/false)) continue;
-    if (!parse_u64(fields[6], e.output_hash, /*hex=*/true)) continue;
-    if (!parse_u64(fields[7], ret64, /*hex=*/false)) continue;
-    if (ret64 > 0xFFFFFFFFull) continue;
-    e.ret = static_cast<std::uint32_t>(ret64);
+    RunOutcome outcome;
+    if (fields.size() != kFields || fields[0] != "v2" ||
+        !parse_entry(fields, key, outcome)) {
+      continue;
+    }
     std::unique_lock<std::mutex> lock(mu_);
-    entries_[key] = e;
+    entries_[key] = std::move(outcome);
     ++loaded;
   }
   return loaded;
@@ -70,23 +93,25 @@ void ResultCache::save_file(const std::string& path) const {
   std::ostringstream os;
   os << "# cepic pipeline result cache. One line per (source, config) "
         "point:\n"
-     << "# v1 src_hash cfg_hash cycles ops_committed out_words out_hash "
-        "ret\n";
+     << "# v2 src_hash cfg_hash <" << std::size(kCounters)
+     << " SimStats counters> trace_truncated <"
+     << SimStats::kMaxBundleWidth + 1
+     << " bundle-width buckets> exec_tier out_words out_hash ret\n";
   {
     std::unique_lock<std::mutex> lock(mu_);
     for (const auto& [key, e] : entries_) {
-      os << "v1 " << to_hex(key.first) << ' ' << to_hex(key.second) << ' '
-         << e.cycles << ' ' << e.ops_committed << ' ' << e.output_words << ' '
-         << to_hex(e.output_hash) << ' ' << e.ret << '\n';
+      os << "v2 " << hex64(key.first) << ' ' << hex64(key.second);
+      for (const auto counter : kCounters) os << ' ' << e.*counter;
+      os << ' ' << (e.trace_truncated ? 1 : 0);
+      for (const std::uint64_t bucket : e.bundle_width_hist) os << ' ' << bucket;
+      os << ' ' << static_cast<unsigned>(e.exec_tier) << ' ' << e.output_words
+         << ' ' << hex64(e.output_hash) << ' ' << e.ret << '\n';
     }
   }
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw Error(cat("cannot write cache file ", path));
-  out << os.str();
-  if (!out.flush()) throw Error(cat("failed writing cache file ", path));
+  publish_file(path, os.str(), "cache file");
 }
 
-bool ResultCache::lookup(const Key& key, CacheEntry& out) const {
+bool ResultCache::lookup(const Key& key, RunOutcome& out) const {
   std::unique_lock<std::mutex> lock(mu_);
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
@@ -98,9 +123,9 @@ bool ResultCache::lookup(const Key& key, CacheEntry& out) const {
   return true;
 }
 
-void ResultCache::insert(const Key& key, const CacheEntry& entry) {
+void ResultCache::insert(const Key& key, const RunOutcome& outcome) {
   std::unique_lock<std::mutex> lock(mu_);
-  entries_[key] = entry;
+  entries_[key] = outcome;
 }
 
 std::size_t ResultCache::size() const {

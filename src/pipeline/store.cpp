@@ -90,6 +90,27 @@ std::string to_string(const ArtifactId& id) {
   return cat(to_string(id.granularity), ":", hex16(id.digest));
 }
 
+void publish_file(const std::string& path, std::string_view bytes,
+                  std::string_view what) {
+  // The temp name carries the thread id so two threads never share one;
+  // concurrent writers of the same path then race only on the rename.
+  std::ostringstream tid;
+  tid << std::this_thread::get_id();
+  const std::string tmp = cat(path, ".tmp.", tid.str());
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) throw Error(cat("cannot write ", what, " ", tmp));
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    if (!out.flush()) throw Error(cat("failed writing ", what, " ", tmp));
+  }
+  std::error_code ec;
+  fs::rename(tmp, path, ec);
+  if (ec) {
+    fs::remove(tmp, ec);
+    throw Error(cat("cannot publish ", what, " ", path));
+  }
+}
+
 Store::Store(const std::string& root, std::string version_tag) {
   if (root.empty()) return;  // degenerate: behave as memory-only
   if (version_tag.empty()) version_tag = store_version_tag();
@@ -184,23 +205,8 @@ void Store::put(const ArtifactId& id, std::string_view blob) {
   std::error_code ec;
   fs::create_directories(fs::path(path).parent_path(), ec);
   if (ec) throw Error(cat("cannot create store directory for ", path));
-  // Temp file + rename: concurrent writers of the same key race only on
-  // identical content, and readers never see a partial object. The
-  // temp name carries the thread id so two threads never share one.
-  std::ostringstream tid;
-  tid << std::this_thread::get_id();
-  const std::string tmp = cat(path, ".tmp.", tid.str());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw Error(cat("cannot write store object ", tmp));
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    if (!out.flush()) throw Error(cat("failed writing store object ", tmp));
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    throw Error(cat("cannot publish store object ", path));
-  }
+  // Concurrent writers of one key race only on identical content.
+  publish_file(path, blob, "store object");
 }
 
 bool Store::get(const ArtifactId& id, ir::Module& out) {

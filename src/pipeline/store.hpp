@@ -87,6 +87,12 @@ struct StoreStats {
   GranularityStats ir_lint;
 };
 
+/// Write `bytes` to `path` through a temp file + rename: readers never
+/// see a partial file, and a writer killed mid-write leaves the old one
+/// intact. `what` names the file in errors. Throws Error on failure.
+void publish_file(const std::string& path, std::string_view bytes,
+                  std::string_view what);
+
 class Store {
 public:
   /// Memory-only store (artifacts shared within one Service lifetime).

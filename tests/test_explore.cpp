@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <fstream>
 #include <thread>
 
@@ -14,13 +15,14 @@
 #include "pipeline/pipeline.hpp"
 #include "pipeline/result_cache.hpp"
 #include "pipeline/thread_pool.hpp"
+#include "support/bits.hpp"
 #include "support/text.hpp"
 
 namespace cepic::explore {
 namespace {
 
-using pipeline::CacheEntry;
 using pipeline::ResultCache;
+using pipeline::RunOutcome;
 using pipeline::ThreadPool;
 
 // ---------------------------------------------------------------- pool
@@ -161,7 +163,7 @@ TEST(Explore, ResultsMatchADirectDriverRun) {
   EpicSimulator sim = pipeline::run_once(kProg, cfg);
   EXPECT_EQ(r.points[0].cycles, sim.stats().cycles);
   EXPECT_EQ(r.points[0].output_words, sim.output().size());
-  EXPECT_EQ(r.points[0].output_hash, hash_output(sim.output()));
+  EXPECT_EQ(r.points[0].output_hash, fnv1a64_words(sim.output()));
   EXPECT_EQ(r.points[0].ret, sim.gpr(3));
 }
 
@@ -193,7 +195,7 @@ TEST(Explore, OnDiskCacheMakesRepeatInvocationsFree) {
   EXPECT_EQ(cold.cache_hits, 0u);
   const SweepResult warm = run_sweep(kProg, spec, options);
   EXPECT_EQ(warm.cache_hits, 2u);
-  EXPECT_TRUE(warm.points[0].from_cache);
+  EXPECT_TRUE(warm.points[0].from_result_cache);
   // Cached and fresh results are byte-identical.
   EXPECT_EQ(cold.to_csv(), warm.to_csv());
   EXPECT_EQ(cold.to_json(), warm.to_json());
@@ -216,16 +218,33 @@ TEST(Explore, InMemoryCacheDeduplicatesRepeatedPointsWithinOneSweep) {
   EXPECT_EQ(r.points[0].cycles, r.points[1].cycles);
 }
 
+/// An ok outcome with every cached field set to a distinct non-default
+/// value, so a field the file drops or swaps fails the round trip.
+RunOutcome full_outcome(std::uint64_t seed) {
+  RunOutcome e;
+  e.ok = true;
+  std::uint64_t v = seed;
+  for (std::uint64_t* counter :
+       {&e.cycles, &e.bundles_issued, &e.ops_executed, &e.ops_committed,
+        &e.ops_nullified, &e.nops, &e.stall_scoreboard, &e.stall_reg_ports,
+        &e.stall_mem_contention, &e.branch_bubbles, &e.mem_reads,
+        &e.mem_writes, &e.branches_taken, &e.branches_not_taken,
+        &e.output_words}) {
+    *counter = ++v;
+  }
+  for (std::uint64_t& bucket : e.bundle_width_hist) bucket = ++v;
+  e.trace_truncated = true;
+  e.exec_tier = ExecTier::Decode;
+  e.output_hash = 0xabcdef0123456789ull + seed;
+  e.ret = 0xfffffff0u + static_cast<std::uint32_t>(seed % 8);
+  return e;
+}
+
 TEST(ResultCache, FileRoundTripIgnoresCorruptLines) {
   const std::string path = testing::TempDir() + "/cache_roundtrip.txt";
   ResultCache cache;
   const ResultCache::Key key{0xdeadbeefull, 0x1234ull};
-  CacheEntry e;
-  e.cycles = 12345;
-  e.ops_committed = 678;
-  e.output_words = 3;
-  e.output_hash = 0xabcdef0123456789ull;
-  e.ret = 42;
+  const RunOutcome e = full_outcome(1000);
   cache.insert(key, e);
   cache.save_file(path);
 
@@ -234,18 +253,48 @@ TEST(ResultCache, FileRoundTripIgnoresCorruptLines) {
     out << "not a cache line\n"
         << "v1 zz zz 1 2 3 4 5\n"
         << "v1 1 2 3\n"
-        << "v2 1 2 3 4 5 6 7\n";
+        << "v1 1 2 12345 678 3 abcdef0123456789 42\n"  // old format
+        << "v2 1 2 3 4 5 6 7\n";                        // wrong field count
   }
   ResultCache loaded;
   EXPECT_EQ(loaded.load_file(path), 1u);
-  CacheEntry got;
+  RunOutcome got;
   ASSERT_TRUE(loaded.lookup(key, got));
   EXPECT_EQ(got, e);
+  EXPECT_EQ(got.exec_tier, e.exec_tier);  // not part of SimStats equality
   EXPECT_EQ(loaded.hits(), 1u);
-  CacheEntry miss;
+  RunOutcome miss;
   EXPECT_FALSE(loaded.lookup({1, 2}, miss));
   EXPECT_EQ(loaded.misses(), 1u);
   std::remove(path.c_str());
+}
+
+TEST(ResultCache, SaveOverAnExistingFileIsAtomic) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "cache_resave";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "results.cache").string();
+
+  ResultCache cache;
+  cache.insert({1, 1}, full_outcome(10));
+  cache.save_file(path);
+  cache.insert({2, 2}, full_outcome(20));
+  cache.save_file(path);  // over the first file
+
+  ResultCache loaded;
+  EXPECT_EQ(loaded.load_file(path), 2u);
+  RunOutcome got;
+  ASSERT_TRUE(loaded.lookup({1, 1}, got));
+  EXPECT_EQ(got, full_outcome(10));
+  ASSERT_TRUE(loaded.lookup({2, 2}, got));
+  EXPECT_EQ(got, full_outcome(20));
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+              std::string::npos)
+        << entry.path();
+  }
+  fs::remove_all(dir);
 }
 
 TEST(ResultCache, MissingFileLoadsNothing) {
@@ -296,8 +345,7 @@ TEST(SweepResult, CsvGoldenOutput) {
   PointResult p = make_point(100, 11945, 716.6);
   p.config = ProcessorConfig{};
   p.config_hash = 0xfeed;
-  p.ops_committed = 250;
-  p.ilp = 2.5;
+  p.ops_committed = 250;  // ilp 2.5
   p.block_rams = 3;
   p.block_mults = 6;
   p.fmax_mhz = 41.8;

@@ -49,6 +49,17 @@ ProcessorConfig sim_only_variant(ProcessorConfig base) {
   return base;
 }
 
+/// Whole-outcome equality: every field except from_result_cache, so a
+/// counter the result cache drops fails the comparison.
+void expect_same_outcome(RunOutcome got, const RunOutcome& want,
+                         std::size_t i) {
+  got.from_result_cache = want.from_result_cache;
+  EXPECT_EQ(got, want) << i;
+  // SimStats equality leaves out the execution-tier markers.
+  EXPECT_EQ(got.exec_tier, want.exec_tier) << i;
+  EXPECT_EQ(got.timeline_pinned, want.timeline_pinned) << i;
+}
+
 // ------------------------------------------------------- the partition
 
 TEST(CodegenSlice, ResetsExactlyTheSimulationOnlyFields) {
@@ -309,13 +320,69 @@ TEST(Service, WarmBatchRunsZeroCompilesAndZeroSimulations) {
   for (std::size_t i = 0; i < cold.size(); ++i) {
     ASSERT_TRUE(cold[i].ok) << cold[i].error;
     EXPECT_TRUE(warm_outcomes[i].from_result_cache) << i;
-    EXPECT_EQ(warm_outcomes[i].cycles, cold[i].cycles) << i;
-    EXPECT_EQ(warm_outcomes[i].ops_committed, cold[i].ops_committed) << i;
-    EXPECT_EQ(warm_outcomes[i].output_words, cold[i].output_words) << i;
-    EXPECT_EQ(warm_outcomes[i].output_hash, cold[i].output_hash) << i;
-    EXPECT_EQ(warm_outcomes[i].ret, cold[i].ret) << i;
+    expect_same_outcome(warm_outcomes[i], cold[i], i);
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(Service, SecondBatchIsAnsweredFromTheLifetimeResultCache) {
+  namespace fs = std::filesystem;
+  // Run from an empty directory: a memory-only Service writes nothing,
+  // not even relative to the working directory.
+  const fs::path cwd = scratch_dir("lifetime_cwd");
+  fs::create_directories(cwd);
+  const fs::path old_cwd = fs::current_path();
+  fs::current_path(cwd);
+
+  const std::vector<std::string> sources{kProg, kProg2};
+  std::vector<ProcessorConfig> configs(2);
+  configs[1].num_alus = 2;
+  Options options;
+  options.jobs = 2;
+  Service service(options);
+  const std::vector<RunOutcome> first = service.run_batch(sources, configs);
+  const std::uint64_t simulations = service.stats().simulations;
+  const std::vector<RunOutcome> second = service.run_batch(sources, configs);
+  fs::current_path(old_cwd);
+  EXPECT_TRUE(fs::is_empty(cwd));
+  fs::remove_all(cwd);
+
+  EXPECT_EQ(simulations, 4u);
+  EXPECT_EQ(service.stats().simulations, simulations);
+  EXPECT_EQ(service.stats().result_hits, 4u);
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    ASSERT_TRUE(first[i].ok) << first[i].error;
+    EXPECT_FALSE(first[i].from_result_cache) << i;
+    EXPECT_TRUE(second[i].from_result_cache) << i;
+    expect_same_outcome(second[i], first[i], i);
+  }
+}
+
+TEST(Service, ResultFileIsReadOnTheFirstBatchNotBefore) {
+  namespace fs = std::filesystem;
+  const std::string dir = scratch_dir("lazy_results");
+  fs::create_directories(dir);
+  Options options;
+  options.result_cache_file = dir + "/results.cache";
+  const ProcessorConfig cfg;
+  {
+    Service writer(options);
+    ASSERT_TRUE(writer.run_batch({kProg}, {cfg})[0].ok);
+  }
+  fs::rename(options.result_cache_file, dir + "/saved");
+
+  // Neither construction nor a compile reads (or writes) the file...
+  Service service(options);
+  service.compile_program(kProg, cfg);
+  EXPECT_FALSE(fs::exists(options.result_cache_file));
+  // ...so the file put back now is what the first batch loads.
+  fs::rename(dir + "/saved", options.result_cache_file);
+  const std::vector<RunOutcome> outcomes = service.run_batch({kProg}, {cfg});
+  ASSERT_TRUE(outcomes[0].ok) << outcomes[0].error;
+  EXPECT_TRUE(outcomes[0].from_result_cache);
+  EXPECT_EQ(service.stats().simulations, 0u);
+  fs::remove_all(dir);
 }
 
 TEST(Service, ResultCacheNeverAnswersForDifferentCodegenOptions) {
