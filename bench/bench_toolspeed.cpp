@@ -387,6 +387,41 @@ void BM_EpicSimulatorLegacy(benchmark::State& state) {
 }
 BENCHMARK(BM_EpicSimulatorLegacy);
 
+// Simulator start-up on a 4000-statement straight-line program,
+// construction only. build_image builds a private SimImage each time
+// (program checks + decode_program + per-run state), as a stand-alone
+// EpicSimulator does; shared_image starts a simulator on one prebuilt
+// image, as every run after the first of a run_batch compile group does.
+const Program& startup_program() {
+  static const Program p =
+      pipeline::compile_once(workloads::make_straight_line(1, 4000),
+                             ProcessorConfig{})
+          .program;
+  return p;
+}
+
+void BM_SimStartupBuildImage(benchmark::State& state) {
+  const Program& program = startup_program();
+  for (auto _ : state) {
+    state.PauseTiming();
+    Program copy = program;
+    state.ResumeTiming();
+    EpicSimulator sim(std::move(copy));
+    benchmark::DoNotOptimize(sim.pc());
+  }
+}
+BENCHMARK(BM_SimStartupBuildImage)->Name("BM_SimStartup/build_image");
+
+void BM_SimStartupSharedImage(benchmark::State& state) {
+  const auto image =
+      std::make_shared<const SimImage>(startup_program(), CustomOpTable{});
+  for (auto _ : state) {
+    EpicSimulator sim(image, startup_program().config);
+    benchmark::DoNotOptimize(sim.pc());
+  }
+}
+BENCHMARK(BM_SimStartupSharedImage)->Name("BM_SimStartup/shared_image");
+
 void BM_SarmSimulator(benchmark::State& state) {
   const auto& w = dct_workload();
   auto program = sarm::compile_minic_to_sarm(w.minic_source);

@@ -154,6 +154,14 @@ ProcessorConfig ProcessorConfig::from_text(std::string_view text) {
 
 std::uint64_t ProcessorConfig::stable_hash() const { return fnv1a64(to_text()); }
 
+ProcessorConfig ProcessorConfig::codegen_slice() const {
+  static const ProcessorConfig kDefaults;
+  ProcessorConfig slice = *this;
+  slice.pipeline_stages = kDefaults.pipeline_stages;
+  slice.unified_memory_contention = kDefaults.unified_memory_contention;
+  return slice;
+}
+
 std::string ProcessorConfig::summary() const {
   const ProcessorConfig def;
   std::string s = cat(num_alus, "alu/", issue_width, "iss/", reg_port_budget,

@@ -124,6 +124,15 @@ struct ProcessorConfig {
   /// cache, including its on-disk file.
   std::uint64_t stable_hash() const;
 
+  /// This configuration with every affects-simulation-only field
+  /// (pipeline_stages, unified_memory_contention) reset to its default:
+  /// the part that compiled code depends on. The compiler, scheduler and
+  /// assembler never read those fields, so configs with equal slices
+  /// share one compiled Program, and one simulator image (sim/simulator.hpp).
+  /// This is the normative definition of the options partition for
+  /// ProcessorConfig (docs/PIPELINE.md).
+  ProcessorConfig codegen_slice() const;
+
   /// Compact one-line description for sweep tables and CSV rows, e.g.
   /// "2alu/4iss/8port/2stg" plus any non-default extras.
   std::string summary() const;

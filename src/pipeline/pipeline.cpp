@@ -14,7 +14,6 @@
 #include "obs/obs.hpp"
 #include "pipeline/thread_pool.hpp"
 #include "pipeline/version.hpp"
-#include "serial/serial.hpp"
 #include "support/bits.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
@@ -89,6 +88,35 @@ analysis::LintReport decode_ir_lint(const std::string& blob) {
   return report;
 }
 
+/// Dedup digest of everything a simulation reads from a Program besides
+/// its config: every instruction's fields, the data image and the entry
+/// bundle. Symbols are left out; no simulator reads them. Computed once
+/// per compile group and combined per point with the sim slice.
+std::uint64_t program_content_hash(const Program& program) {
+  const std::uint32_t sizes[] = {
+      static_cast<std::uint32_t>(program.code.size()),
+      static_cast<std::uint32_t>(program.data.size()), program.entry_bundle};
+  std::uint64_t h = fnv1a64_words(sizes);
+  for (const Instruction& i : program.code) {
+    const std::uint32_t fields[] = {
+        static_cast<std::uint32_t>(i.op),
+        i.dest1,
+        i.dest2,
+        static_cast<std::uint32_t>(i.src1.kind),
+        i.src1.reg,
+        static_cast<std::uint32_t>(i.src1.lit),
+        static_cast<std::uint32_t>(i.src2.kind),
+        i.src2.reg,
+        static_cast<std::uint32_t>(i.src2.lit),
+        i.pred};
+    h = fnv1a64_words(fields, h);
+  }
+  return fnv1a64(std::string_view(
+                     reinterpret_cast<const char*>(program.data.data()),
+                     program.data.size()),
+                 h);
+}
+
 }  // namespace
 
 Service::Service(Options options)
@@ -98,14 +126,7 @@ Service::Service(Options options)
                                      options_.codegen.optimize)) {}
 
 ProcessorConfig Service::codegen_slice(const ProcessorConfig& config) {
-  // The normative affects-simulation-only field list: everything the
-  // compiler, scheduler and assembler never read. Keep in sync with the
-  // partition documented in pipeline.hpp.
-  static const ProcessorConfig kDefaults;
-  ProcessorConfig slice = config;
-  slice.pipeline_stages = kDefaults.pipeline_stages;
-  slice.unified_memory_contention = kDefaults.unified_memory_contention;
-  return slice;
+  return config.codegen_slice();
 }
 
 ProcessorConfig Service::sim_slice(const ProcessorConfig& config) {
@@ -375,6 +396,7 @@ EpicSimulator Service::run(std::string_view source,
   }
   {
     std::unique_lock<std::mutex> lock(mu_);
+    ++sim_images_;
     ++simulations_;
   }
   return sim;
@@ -431,12 +453,13 @@ std::vector<RunOutcome> Service::run_batch(
   // key: one compile task per group feeds its simulate tasks.
   std::map<std::uint64_t, std::vector<Item>> groups;
 
-  // Simulation dedup across (and within) groups: keyed by the digest of
-  // the compiled program serialized under its sim_slice()-canonical
-  // config. The first task to claim a digest simulates; identical
-  // later items wait for it and share the outcome. A claim is only ever
-  // created by a running task, so waiters never block on unscheduled
-  // work (with a 1-thread pool the claimer always finishes first).
+  // Simulation dedup across (and within) groups: keyed by the compiled
+  // program's content hash, the sim_slice() of the config and the
+  // execution tier. The first task to claim a digest simulates;
+  // identical later items wait for it and share the outcome. A claim is
+  // only ever created by a running task, so waiters never block on
+  // unscheduled work (with a 1-thread pool the claimer always finishes
+  // first).
   struct SimDedupEntry {
     bool done = false;
     RunOutcome outcome;
@@ -446,6 +469,15 @@ std::vector<RunOutcome> Service::run_batch(
     std::condition_variable cv;
     std::map<std::uint64_t, SimDedupEntry> map;
   } dedup;
+  // Seed with the execution tier: dedup shares outcomes within one
+  // run_batch call, and those must come from the tier the caller asked
+  // for, not whichever identical program claimed the digest first under
+  // another tier.
+  const std::uint64_t tier_seed = fnv1a64(to_string(options_.sim.exec_tier));
+  std::vector<std::uint64_t> sim_hashes(cols);
+  for (std::size_t p = 0; p < cols; ++p) {
+    sim_hashes[p] = sim_slice(configs[p]).stable_hash();
+  }
 
   for (std::size_t w = 0; w < sources.size(); ++w) {
     const std::uint64_t source_hash =
@@ -471,6 +503,18 @@ std::vector<RunOutcome> Service::run_batch(
     }
   }
 
+  // A compile group's share of the simulate tasks: the compiled Program
+  // until the first simulation turns it into the group's one SimImage.
+  // Every simulate task of the group holds it, so the image is released
+  // when the group's last simulation ends.
+  struct GroupImage {
+    std::uint64_t content = 0;  ///< program_content_hash, once per group
+    Program program;            ///< moved into `image` when it is built
+    std::once_flag once;
+    std::shared_ptr<const SimImage> image;
+    std::string error;  ///< why `image` could not be built
+  };
+
   {
     ThreadPool pool(options_.jobs == 0 ? ThreadPool::hardware_jobs()
                                        : options_.jobs);
@@ -479,18 +523,18 @@ std::vector<RunOutcome> Service::run_batch(
       const std::vector<Item>* group = &items;
       const std::uint64_t submit_ns = obs::now_ns();
       pool.submit([this, group, &sources, &configs, &outcomes, &pool, &dedup,
-                   stack_top, submit_ns] {
+                   &sim_hashes, tier_seed, stack_top, submit_ns] {
         obs::Span task_span("batch.compile", "pipeline");
         const std::uint64_t wait_ns = obs::now_ns() - submit_ns;
         obs::observe("pipeline.queue_wait_ns", wait_ns);
         task_span.arg("queue_wait_ns", wait_ns);
         task_span.arg("group_items", static_cast<std::uint64_t>(group->size()));
         const Item& first = group->front();
-        std::shared_ptr<const Program> shared;
+        const auto shared = std::make_shared<GroupImage>();
         try {
-          shared = std::make_shared<const Program>(
-              compile_program_at(sources[first.source], configs[first.config],
-                                 stack_top, nullptr));
+          shared->program = compile_program_at(
+              sources[first.source], configs[first.config], stack_top, nullptr);
+          shared->content = program_content_hash(shared->program);
         } catch (const std::exception& e) {
           // Leave the faulting task's last-moments trace behind (only
           // dumps when a --flight-out path is configured).
@@ -502,7 +546,7 @@ std::vector<RunOutcome> Service::run_batch(
           const Item* it = &item;
           const std::uint64_t sim_submit_ns = obs::now_ns();
           pool.submit([this, shared, it, &configs, &outcomes, &dedup,
-                       sim_submit_ns] {
+                       &sim_hashes, tier_seed, sim_submit_ns] {
             obs::Span task_span("batch.simulate", "pipeline");
             const std::uint64_t wait_ns = obs::now_ns() - sim_submit_ns;
             obs::observe("pipeline.queue_wait_ns", wait_ns);
@@ -513,21 +557,10 @@ std::vector<RunOutcome> Service::run_batch(
               out = outcome;
             };
 
-            std::uint64_t digest = 0;
-            {
-              Program canon = *shared;
-              canon.config = sim_slice(configs[it->config]);
-              const std::vector<std::uint8_t> bytes =
-                  serial::encode_program(canon);
-              // Seed with the execution tier: dedup shares outcomes
-              // within one run_batch call, and those must come from
-              // the tier the caller asked for, not whichever identical
-              // program claimed the digest first under another tier.
-              digest = fnv1a64(
-                  std::string_view(reinterpret_cast<const char*>(bytes.data()),
-                                   bytes.size()),
-                  fnv1a64(to_string(options_.sim.exec_tier)));
-            }
+            const std::uint64_t digest =
+                fnv1a64(cat(hex64(shared->content), ":",
+                            hex64(sim_hashes[it->config])),
+                        tier_seed);
             std::map<std::uint64_t, SimDedupEntry>::iterator slot;
             {
               std::unique_lock<std::mutex> lk(dedup.m);
@@ -549,16 +582,25 @@ std::vector<RunOutcome> Service::run_batch(
               }
             }
 
+            const ProcessorConfig& config = configs[it->config];
+            // The group's first simulation builds the image; the rest
+            // wait here and share it.
+            std::call_once(shared->once, [&] {
+              try {
+                shared->image = std::make_shared<const SimImage>(
+                    std::move(shared->program),
+                    CustomOpTable::for_names(config.custom_ops));
+              } catch (const std::exception& e) {
+                shared->error = e.what();
+                return;
+              }
+              std::unique_lock<std::mutex> lock(mu_);
+              ++sim_images_;
+            });
             RunOutcome outcome;
             try {
-              Program program = *shared;
-              // Re-stamp the full config: the simulator reads the
-              // simulation-only fields from Program::config.
-              program.config = configs[it->config];
-              EpicSimulator sim(
-                  std::move(program),
-                  CustomOpTable::for_names(configs[it->config].custom_ops),
-                  options_.sim);
+              if (!shared->image) throw SimError(shared->error);
+              EpicSimulator sim(shared->image, config, options_.sim);
               {
                 obs::ScopedObserve latency("pipeline.simulate_ns");
                 sim.run();
@@ -600,6 +642,7 @@ void publish_stats(const ServiceStats& s) {
   r.set_counter("pipeline.backend_runs", s.backend_runs);
   r.set_counter("pipeline.module_decodes", s.module_decodes);
   r.set_counter("pipeline.simulations", s.simulations);
+  r.set_counter("pipeline.sim_images", s.sim_images);
   r.set_counter("pipeline.lint_runs", s.lint_runs);
   r.set_counter("pipeline.ir_lint_runs", s.ir_lint_runs);
   r.set_counter("pipeline.result_hits", s.result_hits);
@@ -650,6 +693,7 @@ ServiceStats Service::stats() const {
   s.backend_runs = backend_runs_;
   s.module_decodes = module_decodes_;
   s.simulations = simulations_;
+  s.sim_images = sim_images_;
   s.lint_runs = lint_runs_;
   s.ir_lint_runs = ir_lint_runs_;
   s.sim_dedup_hits = sim_dedup_hits_;

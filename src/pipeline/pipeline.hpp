@@ -35,7 +35,8 @@
 //     ProcessorConfig: pipeline_stages, unified_memory_contention —
 //       the compiler, scheduler and assembler never read these, which
 //       is why sweep points differing only in them share one compiled
-//       Program. codegen_slice() is the normative definition.
+//       Program. ProcessorConfig::codegen_slice() is the normative
+//       definition.
 //     SimOptions: max_cycles, trace collection.
 //
 // Violating the partition (e.g. making the backend read
@@ -47,12 +48,18 @@
 // *simulator* never reads (num_alus feeds only Mdes::units(), which the
 // simulator never calls; max_regs_per_instr feeds only mcheck and the
 // assembler's validator). run_batch() uses it to deduplicate
-// simulations: two batch items whose compiled Programs are
-// byte-identical once their configs are canonicalised to the sim slice
-// must produce identical outcomes, so only the first one runs and the
-// rest share its result (ServiceStats::sim_dedup_hits counts them).
-// This fires across compile groups — e.g. max_regs_per_instr 4 vs 3
-// compile separately but usually schedule to the same bundles.
+// simulations: two batch items whose compiled Programs have the same
+// content (instructions, data image, entry bundle) and whose configs
+// have the same sim slice must produce identical outcomes, so only the
+// first one runs and the rest share its result
+// (ServiceStats::sim_dedup_hits counts them). This fires across compile
+// groups — e.g. max_regs_per_instr 4 vs 3 compile separately but
+// usually schedule to the same bundles.
+//
+// Within one compile group the items differ only in simulation-only
+// fields, so they share one immutable SimImage (sim/simulator.hpp):
+// decoded once, by the group's first simulation, and released with its
+// last (ServiceStats::sim_images counts them).
 //
 // ## Determinism contract
 //
@@ -140,12 +147,15 @@ struct ServiceStats {
   std::uint64_t module_decodes = 0;  ///< Modules loaded from the binary
                                      ///< store (no reparse, no frontend)
   std::uint64_t simulations = 0;     ///< cycle-level simulations executed
+  /// SimImages built: one per compile group that simulates in
+  /// run_batch (shared by its simulation-only variants), one per run().
+  std::uint64_t sim_images = 0;
   std::uint64_t lint_runs = 0;       ///< mcheck verifications executed
   std::uint64_t ir_lint_runs = 0;    ///< IR-level lint executions
   std::uint64_t result_hits = 0;     ///< batch items served from results
   std::uint64_t result_misses = 0;   ///< (the result cache's own counters)
   /// Batch items answered by another item's in-flight simulation (same
-  /// program bytes under sim_slice()-canonical config).
+  /// program content under the same sim_slice() and tier).
   std::uint64_t sim_dedup_hits = 0;
 
   /// Total compilation-stage executions (any stage, any granularity).
@@ -167,14 +177,15 @@ public:
 
   /// The codegen-relevant slice of a configuration: `config` with every
   /// affects-simulation-only field reset to its default. Two configs
-  /// with equal slices share all compiled artifacts. This is the
-  /// normative definition of the options partition for ProcessorConfig.
+  /// with equal slices share all compiled artifacts. Same as
+  /// ProcessorConfig::codegen_slice(), the normative definition.
   static ProcessorConfig codegen_slice(const ProcessorConfig& config);
 
   /// The simulation-relevant slice of a configuration: `config` with
   /// every field the simulator never reads reset to its default. Two
-  /// batch items whose Programs serialize identically under this slice
-  /// simulate identically; run_batch() dedupes on that digest.
+  /// batch items whose Programs have the same content and whose configs
+  /// have the same slice simulate identically; run_batch() dedupes on
+  /// that pair.
   static ProcessorConfig sim_slice(const ProcessorConfig& config);
 
   // --- single-shot API (replaces the driver:: entry points) ---
@@ -287,6 +298,7 @@ private:
   std::uint64_t backend_runs_ = 0;
   std::uint64_t module_decodes_ = 0;
   std::uint64_t simulations_ = 0;
+  std::uint64_t sim_images_ = 0;
   std::uint64_t lint_runs_ = 0;
   std::uint64_t ir_lint_runs_ = 0;
   std::uint64_t sim_dedup_hits_ = 0;

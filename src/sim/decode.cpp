@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/eval.hpp"
-#include "support/text.hpp"
 
 namespace cepic {
 
@@ -143,24 +142,12 @@ DecodedBundle decode_bundle(std::span<const Instruction> bundle,
 }  // namespace
 
 std::vector<DecodedBundle> decode_program(const Program& program,
-                                          const Mdes& mdes,
-                                          bool prerender_trace) {
+                                          const Mdes& mdes) {
   std::vector<DecodedBundle> decoded;
   const std::size_t bundles = program.bundle_count();
   decoded.reserve(bundles);
   for (std::uint32_t pc = 0; pc < bundles; ++pc) {
-    const std::span<const Instruction> bundle = program.bundle(pc);
-    DecodedBundle d = decode_bundle(bundle, program, mdes);
-    if (prerender_trace) {
-      std::string text;
-      for (const Instruction& inst : bundle) {
-        if (inst.is_nop()) continue;
-        if (!text.empty()) text += " || ";
-        text += to_string(inst);
-      }
-      d.trace_text = text.empty() ? "nop" : text;
-    }
-    decoded.push_back(std::move(d));
+    decoded.push_back(decode_bundle(program.bundle(pc), program, mdes));
   }
   return decoded;
 }

@@ -2,17 +2,20 @@
 // path. The interpretive step() re-derived static facts — OpInfo
 // lookups, operand register-file classes, Mdes latencies and support
 // verdicts, §3.2 port read/write classification — on every simulated
-// cycle. decode_program() lowers each bundle once, at simulator
-// construction, into a DecodedBundle that bakes all of it in, so the
-// per-cycle loop touches only architectural state. Behaviour is
-// bit-identical to the interpretive path (tests/test_sim_fastpath.cpp
-// proves it differentially). Every register index is in range by the
-// time a program is decoded: EpicSimulator refuses any program with an
-// out-of-range index at construction (register_range_fault).
+// cycle. decode_program() lowers each bundle once, when a SimImage is
+// built (sim/simulator.hpp), into a DecodedBundle that bakes all of it
+// in, so the per-cycle loop touches only architectural state. The
+// decoded bundles read only the codegen slice of the configuration
+// (datapath_width and the Mdes), never pipeline_stages or
+// unified_memory_contention, which is what lets one image serve every
+// simulation-only variant of a Program. Behaviour is bit-identical to
+// the interpretive path (tests/test_sim_fastpath.cpp proves it
+// differentially). Every register index is in range by the time a
+// program is decoded: SimImage refuses any program with an
+// out-of-range index first (register_range_fault).
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/isa.hpp"
@@ -88,16 +91,10 @@ struct DecodedBundle {
   /// register indices (duplicates preserved — each read costs a port)
   /// that need a port unless forwarding satisfies them.
   std::vector<std::uint32_t> port_reads;
-
-  /// Pre-rendered trace line (only when tracing was requested).
-  std::string trace_text;
 };
 
-/// Lower every bundle of `program` against `mdes`. `prerender_trace`
-/// additionally renders each bundle's trace text (skipped otherwise —
-/// it is the only decode product that costs real time).
+/// Lower every bundle of `program` against `mdes`.
 std::vector<DecodedBundle> decode_program(const Program& program,
-                                          const Mdes& mdes,
-                                          bool prerender_trace);
+                                          const Mdes& mdes);
 
 }  // namespace cepic

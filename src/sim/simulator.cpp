@@ -9,55 +9,109 @@
 
 namespace cepic {
 
-EpicSimulator::EpicSimulator(Program program, CustomOpTable custom,
-                             SimOptions options)
-    : program_(std::move(program)),
-      custom_(std::move(custom)),
-      options_(options),
-      mdes_(program_.config, &custom_),
-      width_(program_.config.datapath_width),
-      // +1: write-sink slot for the threaded tier (see the gprs_ layout
-      // comment in simulator.hpp); pool constants append beyond it.
-      gprs_(program_.config.num_gprs + 1, 0),
-      preds_(program_.config.num_preds + 1, 0),
-      btrs_(program_.config.num_btrs, 0),
-      gpr_ready_(program_.config.num_gprs + 1, 0),
-      pred_ready_(program_.config.num_preds + 1, 0),
-      btr_ready_(program_.config.num_btrs, 0),
-      mem_(options.mem_size) {
-  program_.config.validate();
-  CEPIC_CHECK(program_.code.size() % program_.config.issue_width == 0,
+namespace {
+
+/// "config has `K = V`, image was built for `K = W`" for the first
+/// to_text() line on which the two configurations differ.
+std::string first_difference(const ProcessorConfig& run,
+                             const ProcessorConfig& image) {
+  const std::string run_text = run.to_text();
+  const std::string image_text = image.to_text();
+  const std::vector<std::string_view> a = split(run_text, '\n');
+  const std::vector<std::string_view> b = split(image_text, '\n');
+  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
+    if (a[i] != b[i]) {
+      return cat("config has `", a[i], "`, image was built for `", b[i], "`");
+    }
+  }
+  return "configurations differ";
+}
+
+}  // namespace
+
+SimImage::SimImage(Program program_in, CustomOpTable custom_in)
+    : program(std::move(program_in)),
+      custom(std::move(custom_in)),
+      mdes(program.config, &custom) {
+  program.config = program.config.codegen_slice();
+  const ProcessorConfig& cfg = program.config;
+  CEPIC_CHECK(program.code.size() % cfg.issue_width == 0,
               "program code is not a whole number of bundles");
   // The per-bundle width histogram is statically sized; a customisation
   // with wider issue must fail here, not overflow the histogram index.
-  CEPIC_CHECK(program_.config.issue_width <= SimStats::kMaxBundleWidth,
-              cat("issue_width ", program_.config.issue_width,
+  CEPIC_CHECK(cfg.issue_width <= SimStats::kMaxBundleWidth,
+              cat("issue_width ", cfg.issue_width,
                   " exceeds the bundle-width histogram range 0..",
                   SimStats::kMaxBundleWidth));
   // Every tier indexes register arrays by the encoded fields, so an
   // out-of-range index is refused here rather than faulting mid-run.
   // (Only register ranges: they are part of the simulation slice of the
   // configuration; unsupported ops fault when first executed.)
-  if (std::string fault = register_range_fault(program_); !fault.empty()) {
+  if (std::string fault = register_range_fault(program); !fault.empty()) {
     throw SimError(fault);
   }
   // Install semantics for any config-enabled custom op the caller did
   // not supply explicitly.
-  for (unsigned slot = 0; slot < program_.config.custom_ops.size(); ++slot) {
-    if (!custom_.has(slot)) {
-      auto op = builtin_custom_op(program_.config.custom_ops[slot]);
-      if (op) custom_.install(slot, std::move(*op));
+  for (unsigned slot = 0; slot < cfg.custom_ops.size(); ++slot) {
+    if (!custom.has(slot)) {
+      auto op = builtin_custom_op(cfg.custom_ops[slot]);
+      if (op) custom.install(slot, std::move(*op));
     }
   }
-  fwd_ = mdes_.forwarding();
-  port_budget_ = mdes_.reg_port_budget();
-  bundle_count_ = static_cast<std::uint32_t>(program_.bundle_count());
+  decoded = decode_program(program, mdes);
+  for (const DecodedBundle& b : decoded) {
+    for (const DecodedOp& op : b.ops) {
+      max_latency = std::max<std::uint64_t>(max_latency, op.latency);
+    }
+    max_port_demand = std::max<std::uint64_t>(
+        max_port_demand, b.write_ports + b.port_reads.size());
+  }
+}
+
+EpicSimulator::EpicSimulator(Program program, CustomOpTable custom,
+                             SimOptions options)
+    : config_(program.config),
+      options_(options),
+      mem_(options.mem_size) {
+  image_ = std::make_shared<const SimImage>(std::move(program),
+                                            std::move(custom));
+  start();
+}
+
+EpicSimulator::EpicSimulator(std::shared_ptr<const SimImage> image,
+                             ProcessorConfig config, SimOptions options)
+    : image_(std::move(image)),
+      config_(std::move(config)),
+      options_(options),
+      mem_(options.mem_size) {
+  start();
+}
+
+void EpicSimulator::start() {
+  config_.validate();
+  if (!(config_.codegen_slice() == image_->program.config)) {
+    throw SimError(cat("simulator image mismatch: ",
+                       first_difference(config_, image_->program.config)));
+  }
+  custom_ = &image_->custom;
+  decoded_ = image_->decoded.data();
+  width_ = config_.datapath_width;
+  fwd_ = image_->mdes.forwarding();
+  port_budget_ = image_->mdes.reg_port_budget();
+  bundle_count_ = static_cast<std::uint32_t>(image_->program.bundle_count());
   gpr_mask_ = width_ >= 32 ? 0xFFFFFFFFu
                            : ((std::uint32_t{1} << width_) - 1);
+  // +1: write-sink slot for the threaded tier (see the gprs_ layout
+  // comment in simulator.hpp); pool constants append beyond it.
+  gprs_.assign(config_.num_gprs + 1, 0);
+  preds_.assign(config_.num_preds + 1, 0);
+  btrs_.assign(config_.num_btrs, 0);
+  gpr_ready_.assign(config_.num_gprs + 1, 0);
+  pred_ready_.assign(config_.num_preds + 1, 0);
+  btr_ready_.assign(config_.num_btrs, 0);
   if (options_.exec_tier != ExecTier::Interp) {
-    decoded_ = decode_program(program_, mdes_, options_.collect_trace);
-    writes_scratch_.reserve(2 * program_.config.issue_width);
-    stores_scratch_.reserve(program_.config.issue_width);
+    writes_scratch_.reserve(2 * config_.issue_width);
+    stores_scratch_.reserve(config_.issue_width);
   }
   if (options_.exec_tier == ExecTier::Threaded) {
     threaded_.block_at.assign(bundle_count_, ThreadedCache::kCold);
@@ -65,19 +119,11 @@ EpicSimulator::EpicSimulator(Program program, CustomOpTable custom,
     // Worst-case clock advance of any single bundle: scoreboard stall
     // (bounded by the largest in-flight latency), port stall (bounded
     // by the largest static port demand), bubbles and contention.
-    std::uint64_t max_lat = 1;
-    std::uint64_t max_ports = 0;
-    for (const DecodedBundle& b : decoded_) {
-      for (const DecodedOp& op : b.ops) {
-        max_lat = std::max<std::uint64_t>(max_lat, op.latency);
-      }
-      max_ports = std::max<std::uint64_t>(
-          max_ports, b.write_ports + b.port_reads.size());
-    }
+    const std::uint64_t max_ports = image_->max_port_demand;
     const std::uint64_t port_bound =
         max_ports == 0 ? 0 : (max_ports + port_budget_ - 1) / port_budget_;
-    threaded_.advance_bound =
-        max_lat + port_bound + program_.config.pipeline_stages + 2;
+    threaded_.advance_bound = image_->max_latency + port_bound +
+                              config_.pipeline_stages + 2;
   }
   reset();
 }
@@ -86,7 +132,7 @@ void EpicSimulator::reset() {
   // Architectural registers + the sink only: the constant-pool tail of
   // gprs_ holds compiled-block literals, which survive reset exactly
   // like the blocks that reference them.
-  std::fill_n(gprs_.begin(), program_.config.num_gprs + 1, 0);
+  std::fill_n(gprs_.begin(), config_.num_gprs + 1, 0);
   std::fill(preds_.begin(), preds_.end(), 0);
   std::fill(btrs_.begin(), btrs_.end(), 0);
   std::fill(gpr_ready_.begin(), gpr_ready_.end(), 0);
@@ -94,8 +140,8 @@ void EpicSimulator::reset() {
   std::fill(btr_ready_.begin(), btr_ready_.end(), 0);
   preds_[0] = 1;  // p0 hardwired true
   mem_.reset();  // cost: the pages actually written, not the full size
-  mem_.load_image(kDataBase, program_.data);
-  pc_ = program_.entry_bundle;
+  mem_.load_image(kDataBase, image_->program.data);
+  pc_ = image_->program.entry_bundle;
   cycle_ = 0;
   halted_ = false;
   output_.clear();
@@ -104,22 +150,22 @@ void EpicSimulator::reset() {
 }
 
 std::uint32_t EpicSimulator::gpr(unsigned i) const {
-  CEPIC_CHECK(i < program_.config.num_gprs, "gpr index");
+  CEPIC_CHECK(i < config_.num_gprs, "gpr index");
   return i == 0 ? 0 : gprs_[i];
 }
 
 void EpicSimulator::set_gpr(unsigned i, std::uint32_t v) {
-  CEPIC_CHECK(i < program_.config.num_gprs, "gpr index");
+  CEPIC_CHECK(i < config_.num_gprs, "gpr index");
   if (i != 0) gprs_[i] = mask_to_width(v, width_);
 }
 
 bool EpicSimulator::pred(unsigned i) const {
-  CEPIC_CHECK(i < program_.config.num_preds, "pred index");
+  CEPIC_CHECK(i < config_.num_preds, "pred index");
   return i == 0 ? true : preds_[i] != 0;
 }
 
 void EpicSimulator::set_pred(unsigned i, bool v) {
-  CEPIC_CHECK(i < program_.config.num_preds, "pred index");
+  CEPIC_CHECK(i < config_.num_preds, "pred index");
   if (i != 0) preds_[i] = v ? 1 : 0;
 }
 
@@ -226,8 +272,7 @@ void EpicSimulator::write_back(const std::vector<PendingStore>& stores,
 
 bool EpicSimulator::finish_step(std::uint64_t issue, bool branch_taken,
                                 std::uint32_t branch_target, bool halt_now,
-                                bool any_mem, unsigned useful_ops,
-                                const std::string* trace_text) {
+                                bool any_mem, unsigned useful_ops) {
   const std::uint32_t issued_pc = pc_;
   ++stats_.bundles_issued;
   stats_.bundle_width_hist[std::min<std::size_t>(
@@ -235,13 +280,13 @@ bool EpicSimulator::finish_step(std::uint64_t issue, bool branch_taken,
   cycle_ = issue + 1;
 
   const bool contention =
-      program_.config.unified_memory_contention && any_mem;
+      config_.unified_memory_contention && any_mem;
   if (contention) {
     ++cycle_;
     ++stats_.stall_mem_contention;
   }
 
-  if (options_.collect_trace) trace_record(issue, trace_text);
+  if (options_.collect_trace) trace_record(issue, decoded_[pc_]);
 
   unsigned bubbles = 0;
   bool keep_running = true;
@@ -252,10 +297,10 @@ bool EpicSimulator::finish_step(std::uint64_t issue, bool branch_taken,
     ++stats_.branches_taken;
     // A taken branch flushes everything in front of execute: one bubble
     // per pipeline stage before it (1 on the 2-stage prototype).
-    bubbles = program_.config.pipeline_stages - 1;
+    bubbles = config_.pipeline_stages - 1;
     stats_.branch_bubbles += bubbles;
     cycle_ += bubbles;
-    if (branch_target >= program_.bundle_count()) {
+    if (branch_target >= bundle_count_) {
       throw SimError(cat("branch to bundle ", branch_target,
                          " past end of program"));
     }
@@ -284,24 +329,21 @@ bool EpicSimulator::finish_step(std::uint64_t issue, bool branch_taken,
 }
 
 void EpicSimulator::trace_record(std::uint64_t issue,
-                                 const std::string* trace_text) {
+                                 const DecodedBundle& bundle) {
+  const auto pc = static_cast<std::uint32_t>(&bundle - decoded_);
   if (trace_.size() < options_.trace_limit) {
-    if (trace_text != nullptr) {
-      trace_.push_back({issue, pc_, *trace_text});
-    } else {
-      std::string text;
-      for (const Instruction& inst : program_.bundle(pc_)) {
-        if (inst.is_nop()) continue;
-        if (!text.empty()) text += " || ";
-        text += to_string(inst);
-      }
-      trace_.push_back({issue, pc_, text.empty() ? "nop" : text});
+    std::string text;
+    for (const Instruction& inst : image_->program.bundle(pc)) {
+      if (inst.is_nop()) continue;
+      if (!text.empty()) text += " || ";
+      text += to_string(inst);
     }
+    trace_.push_back({issue, pc, text.empty() ? "nop" : text});
   } else if (!stats_.trace_truncated) {
     // The limit was hit: leave an explicit marker instead of silently
     // dropping the tail, and flag it on the statistics.
     stats_.trace_truncated = true;
-    trace_.push_back({issue, pc_,
+    trace_.push_back({issue, pc,
                       cat("[trace truncated at ", options_.trace_limit,
                           " entries]")});
   }
@@ -309,7 +351,7 @@ void EpicSimulator::trace_record(std::uint64_t issue,
 
 bool EpicSimulator::step() {
   if (halted_) return false;
-  if (pc_ >= program_.bundle_count()) {
+  if (pc_ >= bundle_count_) {
     throw SimError(cat("pc 0x", std::hex, pc_, " past end of program"));
   }
   // Single-stepping a threaded-tier simulator executes the decode tier:
@@ -411,7 +453,7 @@ bool EpicSimulator::step_decoded_impl(const DecodedBundle& bundle) {
 
     switch (op.kind) {
       case ExecKind::Alu: {
-        const std::uint32_t r = eval_alu(op.op, a, b, width_, &custom_);
+        const std::uint32_t r = eval_alu(op.op, a, b, width_, custom_);
         writes_scratch_.push_back({RegFile::Gpr, op.dest1, r, ready});
         break;
       }
@@ -515,12 +557,11 @@ bool EpicSimulator::step_decoded_impl(const DecodedBundle& bundle) {
 
   write_back(stores_scratch_, writes_scratch_);
   return finish_step(issue, branch_taken, branch_target, halt_now, any_mem,
-                     useful_ops,
-                     options_.collect_trace ? &bundle.trace_text : nullptr);
+                     useful_ops);
 }
 
 bool EpicSimulator::step_interpretive() {
-  const std::span<const Instruction> bundle = program_.bundle(pc_);
+  const std::span<const Instruction> bundle = image_->program.bundle(pc_);
 
   // ---- Stage 1: fetch/decode/issue. Determine the issue cycle. ----
   // (a) Scoreboard: all source operands must be ready.
@@ -548,8 +589,8 @@ bool EpicSimulator::step_interpretive() {
   // excess adds issue cycles. Delaying issue can turn a forwarded read
   // into a port read, so iterate to a fixed point (converges fast: the
   // port count only grows while forwarded reads remain).
-  const bool fwd = mdes_.forwarding();
-  const unsigned budget = mdes_.reg_port_budget();
+  const bool fwd = image_->mdes.forwarding();
+  const unsigned budget = image_->mdes.reg_port_budget();
   std::uint64_t port_stall = 0;
   for (int iter = 0; iter < 4; ++iter) {
     const std::uint64_t at = issue + port_stall;
@@ -602,7 +643,7 @@ bool EpicSimulator::step_interpretive() {
     ++useful_ops;
     ++stats_.ops_executed;
     const OpInfo& info = inst.info();
-    if (!mdes_.op_supported(inst.op)) {
+    if (!image_->mdes.op_supported(inst.op)) {
       throw SimError(cat("operation `", std::string(info.name),
                          "` not implemented on this customisation"));
     }
@@ -616,18 +657,18 @@ bool EpicSimulator::step_interpretive() {
     }
     ++stats_.ops_committed;
     if (timeline_ != nullptr) {
-      tl_ops_.push_back({info.fu, info.name, mdes_.latency(inst.op), false});
+      tl_ops_.push_back({info.fu, info.name, image_->mdes.latency(inst.op), false});
     }
 
     const std::uint32_t a =
         read_operand(inst.src1, info.src1, info.literal_zero_extends);
     const std::uint32_t b =
         read_operand(inst.src2, info.src2, info.literal_zero_extends);
-    const std::uint64_t ready = issue + mdes_.latency(inst.op);
+    const std::uint64_t ready = issue + image_->mdes.latency(inst.op);
 
     switch (info.fu) {
       case FuClass::Alu: {
-        const std::uint32_t r = eval_alu(inst.op, a, b, width_, &custom_);
+        const std::uint32_t r = eval_alu(inst.op, a, b, width_, custom_);
         writes.push_back({RegFile::Gpr, inst.dest1, r, ready});
         break;
       }
@@ -746,7 +787,7 @@ bool EpicSimulator::step_interpretive() {
 
   write_back(stores, writes);
   return finish_step(issue, branch_taken, branch_target, halt_now, any_mem,
-                     useful_ops, nullptr);
+                     useful_ops);
 }
 
 const SimStats& EpicSimulator::run() {

@@ -15,9 +15,17 @@
 //  * predicated operations execute but are nullified on a false guard;
 //  * optionally, every data-memory access steals one cycle of
 //    instruction-fetch bandwidth (unified_memory_contention, ablation).
+//
+// A simulator has two halves. The SimImage is immutable: the Program,
+// its decoded bundles and the program checks, built once and shared by
+// std::shared_ptr<const SimImage> across every simulation-only variant
+// of one compiled Program. The EpicSimulator holds only per-run state:
+// the full ProcessorConfig, registers, memory, the threaded tier's
+// blocks, statistics and trace (docs/SIM.md "Simulator images").
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,12 +69,50 @@ struct TraceEntry {
   std::string text;
 };
 
+/// The immutable half of a simulator: everything that is a pure
+/// function of a compiled Program and its custom-op semantics. Its
+/// identity is the Program, stamped with the codegen slice of its config
+/// (ProcessorConfig::codegen_slice), plus the custom-op table. Nothing
+/// in it reads a simulation-only config field, so one image serves every
+/// pipeline_stages / unified_memory_contention variant of the Program,
+/// on every execution tier. Held by std::shared_ptr<const SimImage>, it
+/// is safe to read from many threads at once.
+struct SimImage {
+  /// Stamps `program` with its codegen slice, runs the program checks
+  /// (whole bundles, histogram width, register ranges: SimError
+  /// "bundle B slot S: ..." on an out-of-range index), installs builtin
+  /// semantics for every config-enabled custom op `custom` lacks and
+  /// decodes every bundle against the Mdes.
+  SimImage(Program program, CustomOpTable custom);
+
+  Program program;
+  CustomOpTable custom;
+  /// Built from `custom` as the caller supplied it, before the builtins
+  /// are installed (custom-op latencies come from the caller's table).
+  Mdes mdes;
+  /// One entry per bundle (sim/decode.hpp).
+  std::vector<DecodedBundle> decoded;
+  /// Whole-program facts behind ThreadedCache::advance_bound: the
+  /// largest result latency and the largest static §3.2 port demand
+  /// (writes + reads) of any bundle.
+  std::uint64_t max_latency = 1;
+  std::uint64_t max_port_demand = 0;
+};
+
 class EpicSimulator {
 public:
-  /// Throws SimError("bundle B slot S: ...") when an operation names a
-  /// register past the end of its file (see register_range_fault).
+  /// Builds a private image of `program` (see SimImage; program checks
+  /// throw from here) and simulates it under program.config.
   explicit EpicSimulator(Program program, CustomOpTable custom = {},
                          SimOptions options = {});
+
+  /// Simulates a shared image under `config`, which may differ from the
+  /// image's config only in the simulation-only fields. Throws SimError
+  /// naming the first differing field otherwise: an image decoded for
+  /// another datapath width, latency or custom-op set would simulate
+  /// wrong bundles.
+  EpicSimulator(std::shared_ptr<const SimImage> image, ProcessorConfig config,
+                SimOptions options = {});
 
   /// Reset architectural state and statistics (keeps the program).
   void reset();
@@ -95,7 +141,10 @@ public:
 
   const SimStats& stats() const { return stats_; }
   const std::vector<TraceEntry>& trace() const { return trace_; }
-  const Program& program() const { return program_; }
+  /// The image's Program: its config is the codegen slice. config()
+  /// is the full configuration of this run.
+  const Program& program() const { return image_->program; }
+  const ProcessorConfig& config() const { return config_; }
 
   /// Threaded-tier promotion counters, compiled blocks and telemetry
   /// (read-only; empty unless exec_tier == Threaded). Blocks are pure
@@ -154,10 +203,11 @@ private:
                   const std::vector<WriteBack>& writes);
   bool finish_step(std::uint64_t issue, bool branch_taken,
                    std::uint32_t branch_target, bool halt_now, bool any_mem,
-                   unsigned useful_ops, const std::string* trace_text);
-  /// Shared trace append (limit + truncation marker); pc_ must still be
-  /// the issued bundle's pc. Used by finish_step and the threaded tier.
-  void trace_record(std::uint64_t issue, const std::string* trace_text);
+                   unsigned useful_ops);
+  /// Shared trace append (limit + truncation marker) for the issued
+  /// `bundle`, an element of decoded_. Used by finish_step and the
+  /// threaded tier.
+  void trace_record(std::uint64_t issue, const DecodedBundle& bundle);
 
   // --- threaded tier (sim/threaded.cpp) ---
   /// run() body for ExecTier::Threaded: dispatch compiled blocks,
@@ -169,22 +219,27 @@ private:
   /// (non-const: interns literal operands in threaded_.pool).
   ThreadedBlock compile_block(std::uint32_t entry_pc);
 
-  Program program_;
-  CustomOpTable custom_;
-  SimOptions options_;
-  Mdes mdes_;
-  unsigned width_;
-  bool fwd_ = true;           ///< mdes_.forwarding(), hoisted
-  unsigned port_budget_ = 8;  ///< mdes_.reg_port_budget(), hoisted
+  /// Checks config_ against the image and sizes the per-run state.
+  void start();
 
-  /// Pre-decoded bundles (empty on the interpretive tier); built once
-  /// at construction, reused across reset().
-  std::vector<DecodedBundle> decoded_;
+  std::shared_ptr<const SimImage> image_;
+  /// The full configuration: the simulation-only fields are read from
+  /// here, everything else equals image_->program.config.
+  ProcessorConfig config_;
+  SimOptions options_;
+  const CustomOpTable* custom_ = nullptr;  ///< &image_->custom, hoisted
+  /// image_->decoded.data(), hoisted.
+  const DecodedBundle* decoded_ = nullptr;
+  unsigned width_ = 32;
+  bool fwd_ = true;           ///< image mdes forwarding(), hoisted
+  unsigned port_budget_ = 8;  ///< image mdes reg_port_budget(), hoisted
+
   /// Threaded-tier promotion counters and compiled micro-op blocks
   /// (empty unless exec_tier == Threaded); blocks compile lazily at
-  /// promotion and, like decoded_, survive reset().
+  /// promotion and survive reset(). They bake in config_'s
+  /// unified_memory_contention, so they stay per run.
   ThreadedCache threaded_;
-  std::uint32_t bundle_count_ = 0;  ///< program_.bundle_count(), hoisted
+  std::uint32_t bundle_count_ = 0;  ///< program bundle_count(), hoisted
   std::uint32_t gpr_mask_ = 0;      ///< datapath-width value mask, hoisted
   /// Reused per-step scratch (capacity fixed by issue_width): the
   /// interpretive path's per-cycle heap allocations removed.

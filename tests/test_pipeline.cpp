@@ -515,6 +515,73 @@ TEST(Service, SimVisibleVariantsAreNeverDeduped) {
   EXPECT_NE(outcomes[0].cycles, outcomes[1].cycles);
 }
 
+/// The outcome run_batch must report for a finished stand-alone run.
+RunOutcome outcome_of(const EpicSimulator& sim) {
+  RunOutcome outcome;
+  static_cast<SimStats&>(outcome) = sim.stats();
+  outcome.set_output(sim.output());
+  outcome.ret = sim.gpr(3);
+  return outcome;
+}
+
+TEST(Service, SimOnlyVariantsShareOneImage) {
+  // {stages 2,3} x {contention off,on} compile once and decode once:
+  // one SimImage, read concurrently by four simulators (jobs = 4, so
+  // the TSan job covers the shared reads). On the interpretive tier
+  // the image is still the one shared Program. Each outcome equals a
+  // stand-alone simulator built on that point's own config.
+  std::vector<ProcessorConfig> configs;
+  for (const unsigned stages : {2u, 3u}) {
+    for (const bool contention : {false, true}) {
+      ProcessorConfig cfg;
+      cfg.pipeline_stages = stages;
+      cfg.unified_memory_contention = contention;
+      configs.push_back(cfg);
+    }
+  }
+  for (const ExecTier tier :
+       {ExecTier::Interp, ExecTier::Decode, ExecTier::Threaded}) {
+    SCOPED_TRACE(to_string(tier));
+    Options options;
+    options.jobs = 4;
+    options.sim.exec_tier = tier;
+    Service service(options);
+    const auto outcomes = service.run_batch({kProg}, configs);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.backend_runs, 1u);
+    EXPECT_EQ(stats.sim_images, 1u);
+    EXPECT_EQ(stats.simulations, 4u);
+    EXPECT_EQ(stats.sim_dedup_hits, 0u);
+    ASSERT_EQ(outcomes.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
+      EpicSimulator alone(service.compile_program(kProg, configs[i]),
+                          CustomOpTable::for_names(configs[i].custom_ops),
+                          options.sim);
+      alone.run();
+      expect_same_outcome(outcomes[i], outcome_of(alone), i);
+    }
+  }
+}
+
+TEST(Service, SharedImageRunsBuiltinCustomOpConfigsLikeRunOnce) {
+  // A config enabling a builtin custom op: the group's image decodes
+  // against the table with the builtins installed, and both
+  // simulation-only variants match a private simulator.
+  ProcessorConfig a;
+  a.custom_ops = {"rotr"};
+  const ProcessorConfig b = sim_only_variant(a);
+  Options options;
+  options.jobs = 2;
+  Service service(options);
+  const auto outcomes = service.run_batch({kProg}, {a, b});
+  EXPECT_EQ(service.stats().sim_images, 1u);
+  EXPECT_EQ(service.stats().simulations, 2u);
+  ASSERT_EQ(outcomes.size(), 2u);
+  expect_same_outcome(outcomes[0], outcome_of(run_once(kProg, a)), 0);
+  expect_same_outcome(outcomes[1], outcome_of(run_once(kProg, b)), 1);
+}
+
 TEST(Service, ResultCacheNeverAnswersAcrossExecutionTiers) {
   // Tiers are differentially proven bit-identical, but the cache must
   // not rely on that: a cached outcome may only answer for the tier

@@ -292,6 +292,91 @@ TEST(SimFastPath, OutOfRangeRegisterRejectedAtConstruction) {
   }
 }
 
+TEST(SimFastPath, ImageOfAnotherCodegenSliceRejected) {
+  // A shared image is decoded against its own config. A run config that
+  // differs outside the simulation-only fields would execute wrongly
+  // decoded bundles, so every tier refuses it and names the field.
+  ProcessorConfig cfg;
+  cfg.custom_ops = {"popc"};
+  const auto image = std::make_shared<const SimImage>(
+      make_program(cfg, {{mov(1, I(1))}, {halt()}}), CustomOpTable{});
+  ProcessorConfig width = cfg;
+  width.datapath_width = 16;
+  ProcessorConfig latency = cfg;
+  latency.load_latency = 3;
+  ProcessorConfig custom = cfg;
+  custom.custom_ops = {"rotr"};
+  const std::pair<ProcessorConfig, const char*> cases[] = {
+      {width,
+       "simulator image mismatch: config has `datapath_width = 16`, image "
+       "was built for `datapath_width = 32`"},
+      {latency,
+       "simulator image mismatch: config has `load_latency = 3`, image was "
+       "built for `load_latency = 2`"},
+      {custom,
+       "simulator image mismatch: config has `custom_ops = rotr`, image was "
+       "built for `custom_ops = popc`"},
+  };
+  for (const ExecTier tier :
+       {ExecTier::Interp, ExecTier::Decode, ExecTier::Threaded}) {
+    SCOPED_TRACE(to_string(tier));
+    SimOptions options;
+    options.exec_tier = tier;
+    for (const auto& [config, message] : cases) {
+      try {
+        EpicSimulator sim(image, config, options);
+        ADD_FAILURE() << "simulator accepted a mismatched image";
+      } catch (const SimError& e) {
+        EXPECT_STREQ(e.what(), message);
+      }
+    }
+    // The simulation-only fields are free to differ.
+    ProcessorConfig variant = cfg;
+    variant.pipeline_stages = 4;
+    variant.unified_memory_contention = true;
+    EpicSimulator sim(image, variant, options);
+    EXPECT_EQ(sim.config(), variant);
+    EXPECT_EQ(sim.program().config, cfg);
+  }
+}
+
+TEST(SimFastPath, SharedImageMatchesPrivateImagesAcrossSimOnlyVariants) {
+  // One image built with an empty custom-op table installs the builtin
+  // popc itself; every simulation-only variant run on it is identical
+  // to a simulator that builds its own image, on every tier.
+  ProcessorConfig cfg;
+  cfg.custom_ops = {"popc"};
+  const Program p = make_program(
+      cfg,
+      {{mov(1, I(0)), mov(2, I(16)), mov(3, I(0)), pbr(1, 1)},
+       {add(1, R(1), I(1)), op3(Op::CUSTOM0, 3, R(1), R(3)), ldw(4, 0, 64)},
+       {cmpp(Op::CMPP_LT, 1, 2, R(1), R(2)), stw(3, 0, 64)},
+       {brct(1, 1)},
+       {out(R(3)), halt()}});
+  const auto image = std::make_shared<const SimImage>(p, CustomOpTable{});
+  for (const ExecTier tier :
+       {ExecTier::Interp, ExecTier::Decode, ExecTier::Threaded}) {
+    SCOPED_TRACE(to_string(tier));
+    SimOptions options;
+    options.exec_tier = tier;
+    options.threaded_hot_threshold = 1;
+    for (const unsigned stages : {2u, 3u}) {
+      for (const bool contention : {false, true}) {
+        Program own = p;
+        own.config.pipeline_stages = stages;
+        own.config.unified_memory_contention = contention;
+        EpicSimulator shared(image, own.config, options);
+        EpicSimulator alone(own, {}, options);
+        shared.run();
+        alone.run();
+        EXPECT_EQ(shared.stats(), alone.stats()) << stages << contention;
+        EXPECT_EQ(shared.output(), alone.output()) << stages << contention;
+        EXPECT_EQ(shared.gpr(3), alone.gpr(3)) << stages << contention;
+      }
+    }
+  }
+}
+
 TEST(SimFastPath, StatsEqualityOperatorSeesEveryCounter) {
   SimStats a;
   SimStats b;

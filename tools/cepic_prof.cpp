@@ -134,6 +134,8 @@ void report_trace(const json::Value& doc, unsigned top) {
             << pad_left(cat(compiles), 9) << "\n";
   std::cout << pad_right("  simulations", 26)
             << pad_left(cat(simulations), 9) << "\n";
+  std::cout << pad_right("  sim images", 26)
+            << pad_left(cat(counter("pipeline.sim_images")), 9) << "\n";
   std::cout << pad_right("  sim-dedup hits", 26)
             << pad_left(cat(counter("pipeline.sim_dedup_hits")), 9) << "\n";
 }

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
                       "); produce one with cepic-cc or cepic-asm first"));
     }
     EpicSimulator sim(serial::decode_program(bytes), {}, options);
-    SimTimeline timeline(sim.program().config, timeline_limit);
+    SimTimeline timeline(sim.config(), timeline_limit);
     if (!timeline_out.empty()) sim.set_timeline(&timeline);
     {
       obs::Span span("simulate", "sim");
