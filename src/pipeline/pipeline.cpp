@@ -1,6 +1,5 @@
 #include "pipeline/pipeline.hpp"
 
-#include <condition_variable>
 #include <filesystem>
 #include <memory>
 #include <span>
@@ -167,53 +166,35 @@ ArtifactId Service::artifact(Granularity g, std::string_view source,
 ir::Module Service::compile_module(std::string_view source) {
   obs::Span span("compile_module", "pipeline");
   const ArtifactId id = ir_artifact(source);
+  Once<ir::Module>* entry = nullptr;
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    const auto it = modules_.find(id.digest);
-    if (it != modules_.end()) {
-      span.arg("cached", "memo");
-      return it->second;
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    entry = &modules_[id.digest];
   }
-  // One builder at a time: concurrent compile tasks for the same source
-  // (different configs) must not duplicate the frontend+optimiser work.
-  std::unique_lock<std::mutex> build(build_mu_);
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    const auto it = modules_.find(id.digest);
-    if (it != modules_.end()) {
-      span.arg("cached", "memo");
-      return it->second;
-    }
-  }
-  {
+  bool built = false;
+  const ir::Module& shared = entry->get([&] {
+    built = true;
     // Warm store: the Module comes back as a packed CEPX binary — a
     // decode, not a reparse (no frontend span appears in the trace).
     ir::Module module;
-    bool hit = false;
     {
       obs::Span decode_span("module_decode", "pipeline");
-      hit = store_.get(id, module);
-      if (!hit) decode_span.arg("cached", "miss");
+      if (store_.get(id, module)) {
+        span.arg("cached", "store");
+        ++module_decodes_;
+        return module;
+      }
+      decode_span.arg("cached", "miss");
     }
-    if (hit) {
-      span.arg("cached", "store");
-      std::unique_lock<std::mutex> lock(mu_);
-      ++module_decodes_;
-      modules_[id.digest] = module;
-      return module;
-    }
-  }
-  span.arg("cached", "miss");
-  ir::Module module = minic::compile_to_ir(source);
-  if (options_.codegen.optimize) opt::optimize(module, options_.codegen.opt);
-  store_.put(id, module);
-  {
-    std::unique_lock<std::mutex> lock(mu_);
+    span.arg("cached", "miss");
+    module = minic::compile_to_ir(source);
+    if (options_.codegen.optimize) opt::optimize(module, options_.codegen.opt);
+    store_.put(id, module);
     ++frontend_runs_;
-    modules_[id.digest] = module;
-  }
-  return module;
+    return module;
+  });
+  if (!built) span.arg("cached", "memo");
+  return shared;
 }
 
 std::string Service::compile_ir_text(std::string_view source) {
@@ -233,7 +214,6 @@ analysis::LintReport Service::lint_ir(std::string_view source, bool werror) {
     const ir::Module module = compile_module(source);
     blob = encode_ir_lint(analysis::lint_module(module));
     store_.put(id, blob);
-    std::unique_lock<std::mutex> lock(mu_);
     ++ir_lint_runs_;
   }
   analysis::LintReport report = decode_ir_lint(blob);
@@ -252,7 +232,6 @@ asmtool::Listing Service::compile_listing(std::string_view source,
   // variant of the config byte-for-byte.
   asmtool::Listing listing =
       backend::compile_ir_to_listing(module, slice, backend_options);
-  std::unique_lock<std::mutex> lock(mu_);
   ++backend_runs_;
   return listing;
 }
@@ -329,7 +308,6 @@ void Service::verify_program(const Program& program,
         report.count(mcheck::Severity::Warning);
     blob = cat(errors, " ", warnings, "\n", report.to_text());
     store_.put(lint_id, blob);
-    std::unique_lock<std::mutex> lock(mu_);
     ++lint_runs_;
   }
   std::uint64_t errors = 0;
@@ -394,11 +372,8 @@ EpicSimulator Service::run(std::string_view source,
     sim.run();
     span.arg("cycles", sim.stats().cycles);
   }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    ++sim_images_;
-    ++simulations_;
-  }
+  ++sim_images_;
+  ++simulations_;
   return sim;
 }
 
@@ -453,29 +428,16 @@ std::vector<RunOutcome> Service::run_batch(
   // key: one compile task per group feeds its simulate tasks.
   std::map<std::uint64_t, std::vector<Item>> groups;
 
-  // Simulation dedup across (and within) groups: keyed by the compiled
-  // program's content hash, the sim_slice() of the config and the
-  // execution tier. The first task to claim a digest simulates;
-  // identical later items wait for it and share the outcome. A claim is
-  // only ever created by a running task, so waiters never block on
-  // unscheduled work (with a 1-thread pool the claimer always finishes
-  // first).
-  struct SimDedupEntry {
-    bool done = false;
-    RunOutcome outcome;
-  };
-  struct SimDedup {
-    std::mutex m;
-    std::condition_variable cv;
-    std::map<std::uint64_t, SimDedupEntry> map;
-  } dedup;
-  // Seed with the execution tier: dedup shares outcomes within one
-  // run_batch call, and those must come from the tier the caller asked
-  // for, not whichever identical program claimed the digest first under
-  // another tier.
-  const std::uint64_t tier_seed = fnv1a64(to_string(options_.sim.exec_tier));
+  // Validated once per config; an invalid one fails its whole column.
+  std::vector<std::string> invalid(cols);
   std::vector<std::uint64_t> sim_hashes(cols);
   for (std::size_t p = 0; p < cols; ++p) {
+    try {
+      configs[p].validate();
+    } catch (const std::exception& e) {
+      invalid[p] = e.what();
+      continue;
+    }
     sim_hashes[p] = sim_slice(configs[p]).stable_hash();
   }
 
@@ -485,10 +447,8 @@ std::vector<RunOutcome> Service::run_batch(
     for (std::size_t p = 0; p < cols; ++p) {
       const std::size_t index = w * cols + p;
       RunOutcome& out = outcomes[index];
-      try {
-        configs[p].validate();
-      } catch (const std::exception& e) {
-        out.error = e.what();
+      if (!invalid[p].empty()) {
+        out.error = invalid[p];
         continue;
       }
       const ResultCache::Key key{source_hash, configs[p].stable_hash()};
@@ -503,6 +463,12 @@ std::vector<RunOutcome> Service::run_batch(
     }
   }
 
+  // Simulation dedup across (and within) groups: one entry per (program
+  // content hash, sim_slice() hash). Its first simulate task runs the
+  // simulation; identical items wait in the entry and share the outcome.
+  std::mutex sims_mu;  ///< guards the map, not its entries
+  std::map<std::pair<std::uint64_t, std::uint64_t>, Once<RunOutcome>> sims;
+
   // A compile group's share of the simulate tasks: the compiled Program
   // until the first simulation turns it into the group's one SimImage.
   // Every simulate task of the group holds it, so the image is released
@@ -510,9 +476,7 @@ std::vector<RunOutcome> Service::run_batch(
   struct GroupImage {
     std::uint64_t content = 0;  ///< program_content_hash, once per group
     Program program;            ///< moved into `image` when it is built
-    std::once_flag once;
-    std::shared_ptr<const SimImage> image;
-    std::string error;  ///< why `image` could not be built
+    Once<std::shared_ptr<const SimImage>> image;
   };
 
   {
@@ -522,8 +486,8 @@ std::vector<RunOutcome> Service::run_batch(
       (void)key;
       const std::vector<Item>* group = &items;
       const std::uint64_t submit_ns = obs::now_ns();
-      pool.submit([this, group, &sources, &configs, &outcomes, &pool, &dedup,
-                   &sim_hashes, tier_seed, stack_top, submit_ns] {
+      pool.submit([this, group, &sources, &configs, &outcomes, &pool, &sims_mu,
+                   &sims, &sim_hashes, stack_top, submit_ns] {
         obs::Span task_span("batch.compile", "pipeline");
         const std::uint64_t wait_ns = obs::now_ns() - submit_ns;
         obs::observe("pipeline.queue_wait_ns", wait_ns);
@@ -545,81 +509,54 @@ std::vector<RunOutcome> Service::run_batch(
         for (const Item& item : *group) {
           const Item* it = &item;
           const std::uint64_t sim_submit_ns = obs::now_ns();
-          pool.submit([this, shared, it, &configs, &outcomes, &dedup,
-                       &sim_hashes, tier_seed, sim_submit_ns] {
+          pool.submit([this, shared, it, &configs, &outcomes, &sims_mu, &sims,
+                       &sim_hashes, sim_submit_ns] {
             obs::Span task_span("batch.simulate", "pipeline");
             const std::uint64_t wait_ns = obs::now_ns() - sim_submit_ns;
             obs::observe("pipeline.queue_wait_ns", wait_ns);
             task_span.arg("queue_wait_ns", wait_ns);
-            RunOutcome& out = outcomes[it->index];
-            const auto deliver = [&](const RunOutcome& outcome) {
-              if (outcome.ok) results_.insert(it->key, outcome);
-              out = outcome;
-            };
-
-            const std::uint64_t digest =
-                fnv1a64(cat(hex64(shared->content), ":",
-                            hex64(sim_hashes[it->config])),
-                        tier_seed);
-            std::map<std::uint64_t, SimDedupEntry>::iterator slot;
+            Once<RunOutcome>* entry = nullptr;
             {
-              std::unique_lock<std::mutex> lk(dedup.m);
-              const auto claim = dedup.map.try_emplace(digest);
-              slot = claim.first;
-              if (!claim.second) {
-                dedup.cv.wait(lk, [&] { return slot->second.done; });
-                // Copy the finished entry and drop dedup.m before
-                // touching any other lock (the result cache inside
-                // deliver, the stats mutex): every mutex on this path
-                // stays a leaf, so no lock order can invert.
-                const RunOutcome finished = slot->second.outcome;
-                lk.unlock();
-                deliver(finished);
-                task_span.arg("dedup", "hit");
-                std::unique_lock<std::mutex> lock(mu_);
-                ++sim_dedup_hits_;
-                return;
-              }
+              std::lock_guard<std::mutex> lock(sims_mu);
+              entry = &sims[{shared->content, sim_hashes[it->config]}];
             }
-
             const ProcessorConfig& config = configs[it->config];
-            // The group's first simulation builds the image; the rest
-            // wait here and share it.
-            std::call_once(shared->once, [&] {
+            bool simulated = false;
+            const RunOutcome& outcome = entry->get([&] {
+              simulated = true;
+              RunOutcome fresh;
               try {
-                shared->image = std::make_shared<const SimImage>(
-                    std::move(shared->program),
-                    CustomOpTable::for_names(config.custom_ops));
+                // The group's first simulation builds the image; the
+                // rest share it.
+                const std::shared_ptr<const SimImage>& image =
+                    shared->image.get([&] {
+                      auto built = std::make_shared<const SimImage>(
+                          std::move(shared->program),
+                          CustomOpTable::for_names(config.custom_ops));
+                      ++sim_images_;
+                      return built;
+                    });
+                EpicSimulator sim(image, config, options_.sim);
+                {
+                  obs::ScopedObserve latency("pipeline.simulate_ns");
+                  sim.run();
+                }
+                static_cast<SimStats&>(fresh) = sim.stats();
+                fresh.set_output(sim.output());
+                fresh.ret = sim.gpr(3);
+                ++simulations_;
               } catch (const std::exception& e) {
-                shared->error = e.what();
-                return;
+                obs::flight_record_fault(e.what());
+                fresh.error = e.what();
               }
-              std::unique_lock<std::mutex> lock(mu_);
-              ++sim_images_;
+              return fresh;
             });
-            RunOutcome outcome;
-            try {
-              if (!shared->image) throw SimError(shared->error);
-              EpicSimulator sim(shared->image, config, options_.sim);
-              {
-                obs::ScopedObserve latency("pipeline.simulate_ns");
-                sim.run();
-              }
-              static_cast<SimStats&>(outcome) = sim.stats();
-              outcome.set_output(sim.output());
-              outcome.ret = sim.gpr(3);
-              std::unique_lock<std::mutex> lock(mu_);
-              ++simulations_;
-            } catch (const std::exception& e) {
-              obs::flight_record_fault(e.what());
-              outcome.error = e.what();
+            if (!simulated) {
+              task_span.arg("dedup", "hit");
+              ++sim_dedup_hits_;
             }
-            deliver(outcome);
-            {
-              std::unique_lock<std::mutex> lk(dedup.m);
-              slot->second = {true, outcome};
-            }
-            dedup.cv.notify_all();
+            if (outcome.ok) results_.insert(it->key, outcome);
+            outcomes[it->index] = outcome;
           });
         }
       });
@@ -684,11 +621,8 @@ EpicSimulator run_once(std::string_view source, const ProcessorConfig& config,
 ServiceStats Service::stats() const {
   ServiceStats s;
   s.store = store_.stats();
-  // Read before taking mu_ so the two locks never nest (mu_ stays a
-  // leaf lock).
   s.result_hits = results_.hits();
   s.result_misses = results_.misses();
-  std::unique_lock<std::mutex> lock(mu_);
   s.frontend_runs = frontend_runs_;
   s.backend_runs = backend_runs_;
   s.module_decodes = module_decodes_;

@@ -61,6 +61,20 @@
 // decoded once, by the group's first simulation, and released with its
 // last (ServiceStats::sim_images counts them).
 //
+// ## Sharing: one per-key once entry
+//
+// All three kinds of shared work — the optimised IR of a source (keyed
+// by IR digest), a simulation (keyed by program content hash and sim
+// slice) and a compile group's SimImage — go through one idiom: a map
+// node holding a std::once_flag plus either the value or the
+// std::exception_ptr its computation raised (Service::Once). The first
+// caller computes, concurrent callers of the same key wait for it, and
+// every caller then returns the value or rethrows the exception; calls
+// on different keys run in parallel. A failed IR build stays stored for
+// the Service's lifetime: a CompileError depends only on the source
+// text. The once body never throws, and the counters are atomics, so
+// no lock is held while work runs and mu_ guards only the module map.
+//
 // ## Determinism contract
 //
 // Batch outcomes are stored at their (source, config) slot and are pure
@@ -70,7 +84,9 @@
 // assert this literally.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -154,8 +170,8 @@ struct ServiceStats {
   std::uint64_t ir_lint_runs = 0;    ///< IR-level lint executions
   std::uint64_t result_hits = 0;     ///< batch items served from results
   std::uint64_t result_misses = 0;   ///< (the result cache's own counters)
-  /// Batch items answered by another item's in-flight simulation (same
-  /// program content under the same sim_slice() and tier).
+  /// Batch items answered by another item's simulation (same program
+  /// content under the same sim_slice()).
   std::uint64_t sim_dedup_hits = 0;
 
   /// Total compilation-stage executions (any stage, any granularity).
@@ -291,17 +307,40 @@ private:
   ResultCache results_;       ///< simulation outcomes, whole lifetime
   std::once_flag results_loaded_;  ///< file read on the first run_batch
 
-  mutable std::mutex mu_;
-  std::mutex build_mu_;  ///< serialises IR builds so each runs once
-  std::map<std::uint64_t, ir::Module> modules_;  ///< ir digest -> IR
-  std::uint64_t frontend_runs_ = 0;
-  std::uint64_t backend_runs_ = 0;
-  std::uint64_t module_decodes_ = 0;
-  std::uint64_t simulations_ = 0;
-  std::uint64_t sim_images_ = 0;
-  std::uint64_t lint_runs_ = 0;
-  std::uint64_t ir_lint_runs_ = 0;
-  std::uint64_t sim_dedup_hits_ = 0;
+  /// One shared computation (header comment, "Sharing"): get() runs
+  /// `make` for the first caller only, then returns its value or
+  /// rethrows what it threw. Lives in a map node, so its address is
+  /// stable.
+  template <class T>
+  struct Once {
+    std::once_flag flag;
+    T value{};
+    std::exception_ptr error;
+
+    template <class Make>
+    const T& get(Make&& make) {
+      std::call_once(flag, [&] {
+        try {
+          value = make();
+        } catch (...) {
+          error = std::current_exception();
+        }
+      });
+      if (error) std::rethrow_exception(error);
+      return value;
+    }
+  };
+
+  std::mutex mu_;  ///< guards modules_ (the map, not its entries)
+  std::map<std::uint64_t, Once<ir::Module>> modules_;  ///< ir digest -> IR
+  std::atomic<std::uint64_t> frontend_runs_{0};
+  std::atomic<std::uint64_t> backend_runs_{0};
+  std::atomic<std::uint64_t> module_decodes_{0};
+  std::atomic<std::uint64_t> simulations_{0};
+  std::atomic<std::uint64_t> sim_images_{0};
+  std::atomic<std::uint64_t> lint_runs_{0};
+  std::atomic<std::uint64_t> ir_lint_runs_{0};
+  std::atomic<std::uint64_t> sim_dedup_hits_{0};
 };
 
 /// One-shot convenience: compile `source` for `config` with a fresh,

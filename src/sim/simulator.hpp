@@ -59,8 +59,6 @@ struct SimOptions {
   /// threaded block; the first N-1 run on the decode tier. 1 compiles
   /// eagerly on first touch. Only read when exec_tier == Threaded.
   unsigned threaded_hot_threshold = 8;
-  /// Maximum bundles lowered into one threaded block.
-  unsigned threaded_max_block = 64;
 };
 
 struct TraceEntry {

@@ -199,7 +199,7 @@ ThreadedBlock EpicSimulator::compile_block(std::uint32_t entry_pc) {
   std::vector<RegRef> refs;
 
   std::uint32_t pc = entry_pc;
-  while (pc < bundle_count_ && block.len_bundles < options_.threaded_max_block) {
+  while (pc < bundle_count_ && block.len_bundles < kThreadedMaxBlock) {
     const DecodedBundle& bundle = decoded_[pc];
 
     // ---- classify: direct (+probes) or per-bundle fallback ----
@@ -654,7 +654,7 @@ void EpicSimulator::exec_block(const ThreadedBlock& block) {
   // pre-expanded at lowering time) plus bundle/stall counters, flushed
   // to SimStats only where stats become observable. A lane cannot
   // overflow: forward-only movement bounds one pass at
-  // threaded_max_block (<= 64) end micro-ops, each delta <= 255, and
+  // kThreadedMaxBlock (<= 64) end micro-ops, each delta <= 255, and
   // block-to-block transitions flush.
   std::uint64_t acc = 0;
   // Second accumulator, same lane trick: stall_scoreboard |
@@ -823,9 +823,12 @@ L_next_block:
         // SimStats are not observable across an in-function
         // transition, so the flush is lazy: only often enough that the
         // 16-bit lanes of `acc` cannot overflow (<= 255 per end
-        // micro-op, and one block pass adds at most threaded_max_block
-        // <= 64 ends, so lanes stay <= 255 * 255 < 2^16).
-        if (acc2 >= (std::uint64_t{192} << 48)) {  // >= 192 bundles
+        // micro-op, and one block pass adds at most kThreadedMaxBlock
+        // ends, so lanes stay <= 255 * (192 + 64) < 2^16).
+        constexpr std::uint64_t kFlushBundles = 192;
+        static_assert(255 * (kFlushBundles + kThreadedMaxBlock) < (1u << 16),
+                      "kThreadedMaxBlock overflows exec_block's stat lanes");
+        if (acc2 >= (kFlushBundles << 48)) {
           CEPIC_FLUSH_STATS();
         }
         uops = nb.uops.data();

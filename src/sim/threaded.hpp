@@ -31,6 +31,11 @@
 
 namespace cepic {
 
+/// Maximum bundles lowered into one threaded block. Not a knob:
+/// exec_block's 16-bit stat lanes are only overflow-safe for blocks of
+/// at most 64 bundles (static_assert in threaded.cpp).
+constexpr unsigned kThreadedMaxBlock = 64;
+
 /// Dispatch code of one micro-op. Operand fields are indices into the
 /// simulator's extended GPR array (architectural registers, then the
 /// write sink, then the constant pool — see EpicSimulator::gprs_), so

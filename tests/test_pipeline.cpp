@@ -19,6 +19,7 @@
 #include "pipeline/store.hpp"
 #include "serial/serial.hpp"
 #include "support/bits.hpp"
+#include "support/error.hpp"
 
 namespace cepic::pipeline {
 namespace {
@@ -452,24 +453,31 @@ TEST(SimSlice, ResetsExactlyTheSimulatorInvisibleFields) {
 }
 
 TEST(Service, DuplicateBatchItemsSimulateOnce) {
+  // At jobs 4 the three duplicates wait on the first one's simulation
+  // entry, so the TSan job exercises the shared path.
   ProcessorConfig cfg;
-  Service service;
-  const auto outcomes = service.run_batch({kProg}, {cfg, cfg});
-  ASSERT_EQ(outcomes.size(), 2u);
-  ASSERT_TRUE(outcomes[0].ok) << outcomes[0].error;
-  ASSERT_TRUE(outcomes[1].ok) << outcomes[1].error;
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.simulations, 1u);
-  EXPECT_EQ(stats.sim_dedup_hits, 1u);
-  EXPECT_EQ(outcomes[0].cycles, outcomes[1].cycles);
-  EXPECT_EQ(outcomes[0].output_hash, outcomes[1].output_hash);
+  for (const unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE(jobs);
+    Options options;
+    options.jobs = jobs;
+    Service service(options);
+    const auto outcomes = service.run_batch({kProg}, {cfg, cfg, cfg, cfg});
+    ASSERT_EQ(outcomes.size(), 4u);
+    ASSERT_TRUE(outcomes[0].ok) << outcomes[0].error;
+    for (std::size_t i = 1; i < outcomes.size(); ++i) {
+      expect_same_outcome(outcomes[i], outcomes[0], i);
+    }
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.simulations, 1u);
+    EXPECT_EQ(stats.sim_dedup_hits, 3u);
+  }
 }
 
 TEST(Service, IdenticalProgramsAcrossCompileGroupsSimulateOnce) {
   // num_alus above the issue width cannot change the schedule (packing
   // is bounded by issue_width), so 4 and 8 ALUs compile separately —
   // distinct codegen slices — yet yield byte-identical programs. The
-  // dedup digest canonicalises num_alus away (sim_slice) and collapses
+  // dedup key canonicalises num_alus away (sim_slice) and collapses
   // the two simulations.
   ProcessorConfig a;  // 4 ALUs
   ProcessorConfig b;
@@ -485,18 +493,58 @@ TEST(Service, IdenticalProgramsAcrossCompileGroupsSimulateOnce) {
            "programs; pick another simulator-invisible codegen knob";
   }
 
-  Service service;
-  const auto outcomes = service.run_batch({kProg}, {a, b});
-  ASSERT_EQ(outcomes.size(), 2u);
-  ASSERT_TRUE(outcomes[0].ok) << outcomes[0].error;
-  ASSERT_TRUE(outcomes[1].ok) << outcomes[1].error;
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.backend_runs, 2u);  // separate compile groups...
-  EXPECT_EQ(stats.simulations, 1u);   // ...one simulation
-  EXPECT_EQ(stats.sim_dedup_hits, 1u);
-  EXPECT_EQ(outcomes[0].cycles, outcomes[1].cycles);
-  EXPECT_EQ(outcomes[0].output_hash, outcomes[1].output_hash);
-  EXPECT_EQ(outcomes[0].ret, outcomes[1].ret);
+  for (const unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE(jobs);
+    Options options;
+    options.jobs = jobs;
+    Service service(options);
+    const auto outcomes = service.run_batch({kProg}, {a, b});
+    ASSERT_EQ(outcomes.size(), 2u);
+    ASSERT_TRUE(outcomes[0].ok) << outcomes[0].error;
+    ASSERT_TRUE(outcomes[1].ok) << outcomes[1].error;
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.backend_runs, 2u);  // separate compile groups...
+    EXPECT_EQ(stats.simulations, 1u);   // ...one simulation
+    EXPECT_EQ(stats.sim_dedup_hits, 1u);
+    EXPECT_EQ(outcomes[0].cycles, outcomes[1].cycles);
+    EXPECT_EQ(outcomes[0].output_hash, outcomes[1].output_hash);
+    EXPECT_EQ(outcomes[0].ret, outcomes[1].ret);
+  }
+}
+
+TEST(Service, FailingSourceFailsOnceAndSparesTheBatch) {
+  // A source that does not parse, in four compile groups at jobs 4: its
+  // IR build fails once and every group rethrows the stored error,
+  // while the good source's items are unaffected.
+  const std::string bad = "int main() { return 1 + ; }";
+  std::string want;
+  try {
+    Service().compile_module(bad);
+  } catch (const CompileError& e) {
+    want = e.what();
+  }
+  ASSERT_FALSE(want.empty()) << "precondition: the source must not compile";
+
+  std::vector<ProcessorConfig> configs;
+  for (unsigned alus = 1; alus <= 4; ++alus) {
+    ProcessorConfig cfg;
+    cfg.num_alus = alus;
+    configs.push_back(cfg);
+  }
+  Options parallel;
+  parallel.jobs = 4;
+  Service service(parallel);
+  const auto outcomes = service.run_batch({bad, kProg}, configs);
+  const auto serial = Service().run_batch({bad, kProg}, configs);
+  ASSERT_EQ(outcomes.size(), 2 * configs.size());
+  for (std::size_t p = 0; p < configs.size(); ++p) {
+    EXPECT_FALSE(outcomes[p].ok) << p;
+    EXPECT_EQ(outcomes[p].error, want) << p;
+  }
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    expect_same_outcome(outcomes[i], serial[i], i);
+  }
+  EXPECT_EQ(service.stats().frontend_runs, 1u);  // kProg only
 }
 
 TEST(Service, SimVisibleVariantsAreNeverDeduped) {
@@ -586,8 +634,8 @@ TEST(Service, ResultCacheNeverAnswersAcrossExecutionTiers) {
   // Tiers are differentially proven bit-identical, but the cache must
   // not rely on that: a cached outcome may only answer for the tier
   // that produced it, so a tier divergence can never hide behind a
-  // result-cache hit. Both the persisted-result context and the
-  // in-batch sim-dedup digest fold the tier.
+  // result-cache hit. The persisted-result context folds the tier. The
+  // in-batch sim-dedup key does not need to: a Service runs one tier.
   const std::string dir = scratch_dir("tier_keying");
   ProcessorConfig cfg;
 
