@@ -1,5 +1,7 @@
 #include "analysis/cfg.hpp"
 
+#include <utility>
+
 namespace cepic::analysis {
 
 using ir::IrInst;
@@ -34,11 +36,19 @@ VReg def_of(const IrInst& inst) {
 }
 
 Cfg Cfg::build(const ir::Function& fn) {
-  const int nb = static_cast<int>(fn.blocks.size());
-  Cfg cfg;
+  std::vector<std::vector<int>> succs(fn.blocks.size());
+  for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
+    succs[b] = successors(fn.blocks[b]);
+  }
+  Cfg cfg = build(std::move(succs));
   cfg.fn = &fn;
-  cfg.succs.resize(nb);
-  for (int b = 0; b < nb; ++b) cfg.succs[b] = successors(fn.blocks[b]);
+  return cfg;
+}
+
+Cfg Cfg::build(std::vector<std::vector<int>> succs) {
+  const int nb = static_cast<int>(succs.size());
+  Cfg cfg;
+  cfg.succs = std::move(succs);
   cfg.preds.assign(nb, {});
   for (int b = 0; b < nb; ++b) {
     for (int s : cfg.succs[b]) cfg.preds[s].push_back(b);

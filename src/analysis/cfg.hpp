@@ -1,7 +1,8 @@
 // CFG utilities over ir::Function shared by the dataflow framework, the
 // optimiser passes and the IR lints: successor/predecessor computation,
 // operand visitation, and a prebuilt Cfg with traversal orders so every
-// client walks the same graph.
+// client walks the same graph. A Cfg can also be built from bare
+// successor lists, which is how machine code reaches the same solver.
 #pragma once
 
 #include <vector>
@@ -73,6 +74,9 @@ struct Cfg {
   int num_blocks() const { return static_cast<int>(succs.size()); }
 
   static Cfg build(const ir::Function& fn);
+  /// A Cfg over any block graph given as successor lists (block 0 is the
+  /// entry); `fn` stays null. The machine-level allocator uses this.
+  static Cfg build(std::vector<std::vector<int>> succs);
 
   bool operator==(const Cfg&) const = default;
 };

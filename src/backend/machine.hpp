@@ -1,8 +1,9 @@
 // Machine-level representation used by the EPIC backend between lowering
 // and emission: core Instructions whose register fields may still hold
-// *virtual* registers (ids >= kVirtBase, per register file), organised in
-// the IR's block structure. The register allocator rewrites virtuals to
-// physical indices; the scheduler then packs each block into MultiOps.
+// *virtual* registers (ids >= analysis::kVirtBase, per register file),
+// organised in the IR's block structure. The register allocator rewrites
+// virtuals to physical indices; the scheduler then packs each block into
+// MultiOps.
 //
 // Calling convention (CEPIC ABI):
 //   r0  hardwired zero          r1  stack pointer (grows down)
@@ -18,21 +19,14 @@
 #include <string>
 #include <vector>
 
+#include "analysis/linear_scan.hpp"
 #include "asmtool/assembler.hpp"
 #include "core/instruction.hpp"
 
 namespace cepic::backend {
 
-/// Register ids at or above this are virtual (per register file).
-inline constexpr std::uint32_t kVirtBase = 0x10000;
-
-inline constexpr bool is_virtual(std::uint32_t reg) { return reg >= kVirtBase; }
-inline constexpr std::uint32_t virt_id(std::uint32_t reg) {
-  return reg - kVirtBase;
-}
-inline constexpr std::uint32_t virt_reg(std::uint32_t id) {
-  return id + kVirtBase;
-}
+using analysis::is_virtual;
+using analysis::virt_reg;
 
 struct CallConv {
   static constexpr std::uint32_t kZero = 0;

@@ -2,8 +2,8 @@
 // in print.cpp, so `parse_module(to_string(m))` reproduces `m` (up to
 // next_vreg, which the text does not carry and is reconstructed as
 // max-used-vreg + 1) and `to_string(parse_module(text)) == text` for
-// printer-produced text. This is what lets the pipeline store treat
-// textual and binary IR artifacts as the same value.
+// printer-produced text. Only the tests call it, to pin that round
+// trip; the pipeline store keeps IR as a CEPX binary (src/serial).
 #pragma once
 
 #include <string_view>

@@ -1,14 +1,14 @@
 // cepic::pipeline — the unified compile/run surface of the toolchain.
 //
 // A pipeline::Service owns (a) a content-addressed store of compilation
-// artifacts at three granularities (optimised IR, assembly text,
-// assembled Program) and (b) a shared thread-pool scheduler that runs
-// compile and simulate steps of a batch as separate dependency-ordered
-// tasks. Everything — explore::run_sweep, the cepic-cc / cepic-sim /
-// cepic-explore tools, the benches, the tests — is a client of this
-// API; the historical driver:: shim layer is gone (docs/PIPELINE.md
-// records the migration), with compile_once()/run_once() below as the
-// one-shot spellings.
+// artifacts at five granularities (optimised IR as a CEPX binary,
+// assembly text, assembled Program, and the mcheck and IR-lint reports)
+// and (b) a shared thread-pool scheduler that runs compile and simulate
+// steps of a batch as separate dependency-ordered tasks. Everything —
+// explore::run_sweep, the cepic-cc / cepic-sim / cepic-explore tools,
+// the benches, the tests — is a client of this API; the historical
+// driver:: shim layer is gone (docs/PIPELINE.md records the migration),
+// with compile_once()/run_once() below as the one-shot spellings.
 //
 // ## The options partition (what makes artifact sharing sound)
 //
@@ -212,8 +212,8 @@ public:
   /// decoded, never reparsed (ServiceStats::module_decodes counts it).
   ir::Module compile_module(std::string_view source);
 
-  /// Printed optimised IR, served from the store when possible (the
-  /// IR granularity persists as text).
+  /// Printed optimised IR. The module is served from the store when
+  /// possible (kIr holds it as a CEPX binary) and printed on the way out.
   std::string compile_ir_text(std::string_view source);
 
   /// IR-level lint (analysis::lint_module) over the optimised module

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "analysis/linear_scan.hpp"
 #include "ir/verify.hpp"
 #include "support/bits.hpp"
 #include "support/text.hpp"
@@ -16,10 +17,9 @@ using ir::IrInst;
 using ir::IrOp;
 using ir::VReg;
 
-constexpr std::uint32_t kVirt = 0x10000;
-constexpr bool is_virtual(std::uint32_t r) { return r >= kVirt; }
-constexpr std::uint32_t vreg(std::uint32_t id) { return id + kVirt; }
-constexpr std::uint32_t vid(std::uint32_t r) { return r - kVirt; }
+using analysis::is_virtual;
+using analysis::RegRef;
+using analysis::virt_reg;
 
 /// SARM immediates: 16-bit signed (a modelling simplification of ARM's
 /// rotated 8-bit immediates; documented in DESIGN.md).
@@ -197,8 +197,8 @@ private:
     out_.blocks[cur_].insts.push_back(std::move(c));
   }
 
-  std::uint32_t fresh() { return vreg(next_virt_++); }
-  std::uint32_t reg_of(VReg v) { return vreg(v); }
+  std::uint32_t fresh() { return virt_reg(next_virt_++); }
+  std::uint32_t reg_of(VReg v) { return virt_reg(v); }
 
   SInst make(SOp op, std::uint32_t rd, std::uint32_t rn, Operand2 op2,
              Cond cond = Cond::AL) {
@@ -542,316 +542,98 @@ void fold_shifts(CFunc& fn) {
   }
 }
 
-// ---------------- register allocation (liveness linear scan) -------------
+// ---------------- register allocation -------------
 
-struct Refs {
-  std::vector<std::uint32_t*> reads;
-  std::uint32_t* def = nullptr;
-  bool def_conditional = false;
-};
+/// The SARM adapter of the shared linear scan (analysis/linear_scan.hpp).
+/// What is SARM's own: one register file, r4..r12, that spills; BL is
+/// the call; a spill store carries the condition of the instruction that
+/// wrote the value; the sp adjustments are patched as plain #total.
+struct SarmTarget {
+  using Inst = CInst;
+  static constexpr unsigned kFrameImmBits = 16;  // as imm_fits
 
-Refs refs_of(SInst& inst) {
-  Refs r;
-  switch (inst.op) {
-    case SOp::B:
-    case SOp::Bl:
-    case SOp::Halt:
-      return r;
-    case SOp::Bx:
-      r.reads.push_back(&inst.rn);
-      return r;
-    case SOp::Out:
-      if (!inst.op2.is_imm) r.reads.push_back(&inst.op2.rm);
-      return r;
-    case SOp::Cmp:
-      r.reads.push_back(&inst.rn);
-      if (!inst.op2.is_imm) r.reads.push_back(&inst.op2.rm);
-      return r;
-    case SOp::Str:
-    case SOp::Strb:
-      r.reads.push_back(&inst.rd);
-      r.reads.push_back(&inst.rn);
-      if (!inst.op2.is_imm) r.reads.push_back(&inst.op2.rm);
-      return r;
-    case SOp::Ldr:
-    case SOp::Ldrb:
-      r.reads.push_back(&inst.rn);
-      if (!inst.op2.is_imm) r.reads.push_back(&inst.op2.rm);
-      r.def = &inst.rd;
-      break;
-    case SOp::Mov:
-    case SOp::Mvn:
-      if (!inst.op2.is_imm) r.reads.push_back(&inst.op2.rm);
-      r.def = &inst.rd;
-      break;
-    default:
-      r.reads.push_back(&inst.rn);
-      if (!inst.op2.is_imm) r.reads.push_back(&inst.op2.rm);
-      r.def = &inst.rd;
-      break;
-  }
-  r.def_conditional = inst.cond != Cond::AL;
-  return r;
-}
+  const CFunc& fn;
 
-class SarmAllocator {
-public:
-  explicit SarmAllocator(CFunc& fn) : fn_(fn) {}
-
-  void run() {
-    for (int iteration = 0; iteration < 24; ++iteration) {
-      if (try_allocate()) {
-        patch_frame();
+  /// Reads first (a store's value, then base, then offset), then the
+  /// destination.
+  template <typename Fn>
+  void for_each_ref(CInst& ci, Fn&& visit) const {
+    SInst& inst = ci.inst;
+    const auto read = [&](std::uint32_t& reg) { visit(RegRef{0, &reg}); };
+    const auto read_op2 = [&] {
+      if (!inst.op2.is_imm) read(inst.op2.rm);
+    };
+    switch (inst.op) {
+      case SOp::B:
+      case SOp::Bl:
+      case SOp::Halt:
         return;
-      }
+      case SOp::Bx:
+        read(inst.rn);
+        return;
+      case SOp::Out:
+        read_op2();
+        return;
+      case SOp::Cmp:
+        read(inst.rn);
+        read_op2();
+        return;
+      case SOp::Str:
+      case SOp::Strb:
+        read(inst.rd);
+        read(inst.rn);
+        read_op2();
+        return;
+      case SOp::Mov:
+      case SOp::Mvn:
+        read_op2();
+        break;
+      default:  // ALU ops and loads
+        read(inst.rn);
+        read_op2();
+        break;
     }
-    throw Error(cat("SARM register allocation did not converge in @",
-                    fn_.name));
+    visit(RegRef{0, &inst.rd, true, inst.cond != Cond::AL});
   }
 
-private:
-  struct Interval {
-    std::uint32_t id;
-    int start = -1;
-    int end = -1;
-    bool crosses_call = false;
-  };
+  bool is_call(const CInst& ci) const { return ci.is_call; }
 
-  void compute_liveness() {
-    const std::size_t nb = fn_.blocks.size();
-    const std::uint32_t nv = fn_.num_virt;
-    live_in_.assign(nb, std::vector<bool>(nv, false));
-    live_out_.assign(nb, std::vector<bool>(nv, false));
-    std::vector<std::vector<bool>> use(nb, std::vector<bool>(nv, false));
-    std::vector<std::vector<bool>> def(nb, std::vector<bool>(nv, false));
-    for (std::size_t b = 0; b < nb; ++b) {
-      for (CInst& ci : fn_.blocks[b].insts) {
-        Refs r = refs_of(ci.inst);
-        for (std::uint32_t* slot : r.reads) {
-          if (is_virtual(*slot) && !def[b][vid(*slot)]) {
-            use[b][vid(*slot)] = true;
-          }
-        }
-        if (r.def != nullptr && is_virtual(*r.def)) {
-          if (r.def_conditional) {
-            if (!def[b][vid(*r.def)]) use[b][vid(*r.def)] = true;
-          } else {
-            def[b][vid(*r.def)] = true;
-          }
-        }
-      }
-    }
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (std::size_t b = nb; b-- > 0;) {
-        for (int s : fn_.succs[b]) {
-          for (std::uint32_t v = 0; v < nv; ++v) {
-            if (live_in_[s][v] && !live_out_[b][v]) {
-              live_out_[b][v] = true;
-              changed = true;
-            }
-          }
-        }
-        for (std::uint32_t v = 0; v < nv; ++v) {
-          const bool want = use[b][v] || (live_out_[b][v] && !def[b][v]);
-          if (want && !live_in_[b][v]) {
-            live_in_[b][v] = true;
-            changed = true;
-          }
-        }
-      }
-    }
+  CInst reload(std::uint32_t temp, std::int32_t offset) const {
+    CInst ld;
+    ld.inst.op = SOp::Ldr;
+    ld.inst.rd = temp;
+    ld.inst.rn = kSp;
+    ld.inst.op2 = Operand2::immediate(offset);
+    return ld;
   }
 
-  bool try_allocate() {
-    compute_liveness();
-
-    // Positions + intervals.
-    std::vector<Interval> iv(fn_.num_virt);
-    for (std::uint32_t v = 0; v < fn_.num_virt; ++v) iv[v].id = v;
-    std::vector<int> calls;
-    int p = 0;
-    const auto extend = [&](std::uint32_t v, int pos) {
-      if (iv[v].start < 0 || pos < iv[v].start) iv[v].start = pos;
-      if (pos > iv[v].end) iv[v].end = pos;
-    };
-    for (std::size_t b = 0; b < fn_.blocks.size(); ++b) {
-      const int block_start = p;
-      for (CInst& ci : fn_.blocks[b].insts) {
-        if (ci.is_call) calls.push_back(p);
-        Refs r = refs_of(ci.inst);
-        for (std::uint32_t* slot : r.reads) {
-          if (is_virtual(*slot)) extend(vid(*slot), p);
-        }
-        if (r.def != nullptr && is_virtual(*r.def)) extend(vid(*r.def), p);
-        ++p;
-      }
-      const int block_end = p;
-      for (std::uint32_t v = 0; v < fn_.num_virt; ++v) {
-        if (live_in_[b][v]) extend(v, block_start);
-        if (live_out_[b][v]) extend(v, block_end);
-      }
-      ++p;
-    }
-    std::set<std::uint32_t> spills;
-    for (Interval& i : iv) {
-      if (i.start < 0) continue;
-      for (int cp : calls) {
-        if (i.start < cp && cp < i.end && spilled_.count(i.id) == 0) {
-          spills.insert(i.id);
-          break;
-        }
-      }
-    }
-    if (!spills.empty()) {
-      rewrite_spills(spills);
-      return false;
-    }
-
-    std::vector<Interval> order;
-    for (const Interval& i : iv) {
-      if (i.start >= 0) order.push_back(i);
-    }
-    std::sort(order.begin(), order.end(), [](const Interval& a,
-                                             const Interval& b) {
-      return a.start < b.start || (a.start == b.start && a.id < b.id);
-    });
-
-    std::vector<std::uint32_t> free;
-    for (std::uint32_t r = kLastAllocatable + 1; r-- > kFirstAllocatable;) {
-      free.push_back(r);
-    }
-    struct Active {
-      int end;
-      std::uint32_t id, phys;
-    };
-    std::vector<Active> active;
-    std::vector<std::uint32_t> assign(fn_.num_virt, 0);
-
-    for (const Interval& i : order) {
-      std::erase_if(active, [&](const Active& a) {
-        if (a.end < i.start) {
-          free.push_back(a.phys);
-          return true;
-        }
-        return false;
-      });
-      if (!free.empty()) {
-        const std::uint32_t phys = free.back();
-        free.pop_back();
-        assign[i.id] = phys;
-        active.push_back({i.end, i.id, phys});
-        continue;
-      }
-      auto victim = std::max_element(
-          active.begin(), active.end(),
-          [](const Active& a, const Active& b) { return a.end < b.end; });
-      if (victim != active.end() && victim->end > i.end) {
-        spills.insert(victim->id);
-        assign[i.id] = victim->phys;
-        const Active replacement{i.end, i.id, victim->phys};
-        active.erase(victim);
-        active.push_back(replacement);
-      } else {
-        spills.insert(i.id);
-      }
-    }
-    if (!spills.empty()) {
-      rewrite_spills(spills);
-      return false;
-    }
-
-    for (CBlock& block : fn_.blocks) {
-      for (CInst& ci : block.insts) {
-        Refs r = refs_of(ci.inst);
-        for (std::uint32_t* slot : r.reads) {
-          if (is_virtual(*slot)) *slot = assign[vid(*slot)];
-        }
-        if (r.def != nullptr && is_virtual(*r.def)) {
-          *r.def = assign[vid(*r.def)];
-        }
-      }
-    }
-    return true;
+  CInst spill(std::uint32_t temp, std::int32_t offset, const CInst& def) const {
+    CInst st;
+    st.inst.op = SOp::Str;
+    st.inst.cond = def.inst.cond;
+    st.inst.rd = temp;
+    st.inst.rn = kSp;
+    st.inst.op2 = Operand2::immediate(offset);
+    return st;
   }
 
-  std::uint32_t slot_of(std::uint32_t id) {
-    auto [it, fresh] = spilled_.try_emplace(
-        id, 4 + fn_.frame_bytes +
-                4 * static_cast<std::uint32_t>(spilled_.size()));
-    return it->second;
+  void patch_frame(CInst& ci, std::int32_t total) const {
+    if (ci.frame_sign != 0) ci.inst.op2 = Operand2::immediate(total);
   }
 
-  void rewrite_spills(const std::set<std::uint32_t>& to_spill) {
-    for (std::uint32_t id : to_spill) slot_of(id);
-    for (CBlock& block : fn_.blocks) {
-      std::vector<CInst> result;
-      result.reserve(block.insts.size());
-      for (CInst& ci : block.insts) {
-        Refs r = refs_of(ci.inst);
-        std::map<std::uint32_t, std::uint32_t> temp;
-        std::set<std::uint32_t> needs_load, needs_store;
-        for (std::uint32_t* slot : r.reads) {
-          if (!is_virtual(*slot) || to_spill.count(vid(*slot)) == 0) continue;
-          const std::uint32_t id = vid(*slot);
-          auto [it, fresh] = temp.try_emplace(id, 0);
-          if (fresh) it->second = vreg(fn_.num_virt++);
-          *slot = it->second;
-          needs_load.insert(id);
-        }
-        if (r.def != nullptr && is_virtual(*r.def) &&
-            to_spill.count(vid(*r.def)) != 0) {
-          const std::uint32_t id = vid(*r.def);
-          auto [it, fresh] = temp.try_emplace(id, 0);
-          if (fresh) it->second = vreg(fn_.num_virt++);
-          *r.def = it->second;
-          needs_store.insert(id);
-          if (r.def_conditional) needs_load.insert(id);
-        }
-        for (std::uint32_t id : needs_load) {
-          CInst ld;
-          ld.inst.op = SOp::Ldr;
-          ld.inst.rd = temp[id];
-          ld.inst.rn = kSp;
-          ld.inst.op2 =
-              Operand2::immediate(static_cast<std::int32_t>(slot_of(id)));
-          result.push_back(std::move(ld));
-        }
-        const Cond cond = ci.inst.cond;
-        result.push_back(std::move(ci));
-        for (std::uint32_t id : needs_store) {
-          CInst st;
-          st.inst.op = SOp::Str;
-          st.inst.cond = cond;
-          st.inst.rd = temp[id];
-          st.inst.rn = kSp;
-          st.inst.op2 =
-              Operand2::immediate(static_cast<std::int32_t>(slot_of(id)));
-          result.push_back(std::move(st));
-        }
-      }
-      block.insts = std::move(result);
-    }
+  std::string no_convergence() const {
+    return cat("SARM register allocation did not converge in @", fn.name);
   }
-
-  void patch_frame() {
-    const std::uint32_t total =
-        4 + fn_.frame_bytes + 4 * static_cast<std::uint32_t>(spilled_.size());
-    for (CBlock& block : fn_.blocks) {
-      for (CInst& ci : block.insts) {
-        if (ci.frame_sign != 0) {
-          ci.inst.op2 =
-              Operand2::immediate(static_cast<std::int32_t>(total));
-        }
-      }
-    }
-  }
-
-  CFunc& fn_;
-  std::vector<std::vector<bool>> live_in_, live_out_;
-  std::map<std::uint32_t, std::uint32_t> spilled_;
 };
+
+void allocate_registers(CFunc& fn) {
+  std::vector<std::uint32_t> regs;
+  for (std::uint32_t r = kFirstAllocatable; r <= kLastAllocatable; ++r) {
+    regs.push_back(r);
+  }
+  analysis::LinearScan(fn, SarmTarget{fn}, {{std::move(regs), &fn.num_virt}})
+      .run();
+}
 
 }  // namespace
 
@@ -865,7 +647,7 @@ SProgram compile_ir_to_sarm(const ir::Module& module,
   for (const ir::Function& fn : module.functions) {
     CFunc cf = FuncGen(fn, module, layout).run();
     if (options.fold_shifts) fold_shifts(cf);
-    SarmAllocator(cf).run();
+    allocate_registers(cf);
     funcs.push_back(std::move(cf));
   }
 

@@ -4,7 +4,9 @@
 // EPIC cycle-level simulator across 4 processor customisations (1-4
 // ALUs), asserting identical OUT streams and exit state. The workloads
 // are additionally checked against their bit-exact native golden
-// references, closing the loop interpreter == simulator == native.
+// references, closing the loop interpreter == simulator == native. The
+// first generated corpus also runs with a 16-GPR EPIC and on the SA-110
+// baseline, where register pressure makes both allocators spill.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -13,6 +15,7 @@
 #include "frontend/irgen.hpp"
 #include "ir/interp.hpp"
 #include "mcheck/mcheck.hpp"
+#include "sarm/driver.hpp"
 #include "support/prng.hpp"
 #include "support/text.hpp"
 #include "workloads/workloads.hpp"
@@ -127,6 +130,9 @@ std::string generate_program(Prng& rng) {
   return os.str();
 }
 
+/// Each seed also runs with 16 GPRs (four allocatable, r12..r15) and on
+/// the SA-110 baseline (nine), so both targets' spill paths meet the
+/// interpreter.
 TEST(GeneratedDifferential, RandomProgramsAgreeAcrossAluCounts) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     Prng rng(seed * 0x9E3779B97F4A7C15ull);
@@ -135,6 +141,17 @@ TEST(GeneratedDifferential, RandomProgramsAgreeAcrossAluCounts) {
     const ir::InterpResult gold = golden(src);
     ASSERT_EQ(gold.output.size(), 5u);
     expect_all_alu_configs_match(src, gold);
+
+    ProcessorConfig gpr16;
+    gpr16.num_gprs = 16;
+    EpicSimulator epic = pipeline::run_once(src, gpr16);
+    EXPECT_EQ(epic.output(), gold.output) << "16 GPRs";
+    EXPECT_EQ(epic.gpr(3), gold.ret) << "16 GPRs";
+    expect_lint_clean(src, gpr16);
+
+    const sarm::SarmSimulator sa110 = sarm::run_minic_on_sarm(src);
+    EXPECT_EQ(sa110.output(), gold.output) << "SA-110";
+    EXPECT_EQ(sa110.reg(0), gold.ret) << "SA-110";
   }
 }
 

@@ -1,13 +1,32 @@
 // SARM baseline tests: cycle model microtests on hand-built programs,
 // code-generation checks, and e2e equivalence against the interpreter.
+//
+// SarmGolden pins the emitted SARM code over the four workloads at
+// bench_repro's --small sizes and the first 200 verifying IR fuzz
+// modules. Each line holds two digests: the program with register
+// numbers masked (moves only when instruction selection, spilling or
+// layout change) and the full program. Regenerate
+// tests/golden/sarm_digests.txt by rerunning the test with
+// CEPIC_REGEN_GOLDEN=1 in the environment.
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <regex>
+#include <sstream>
 
 #include "pipeline/pipeline.hpp"
 #include "sarm/driver.hpp"
 #include "frontend/irgen.hpp"
 #include "ir/interp.hpp"
+#include "ir/verify.hpp"
 #include "sarm/codegen.hpp"
 #include "sarm/sim.hpp"
+#include "support/bits.hpp"
+#include "workloads/workloads.hpp"
+
+#include "test_util.hpp"
 
 namespace cepic::sarm {
 namespace {
@@ -234,6 +253,26 @@ TEST(SarmCodegen, RejectsTooManyArgs) {
                Error);
 }
 
+TEST(SarmCodegen, RejectsFramesItsImmediatesCannotEncode) {
+  // 4 bytes of return address + 40000 of locals: past the 16-bit signed
+  // sp adjustment both targets encode.
+  const char* src =
+      "int main() { int a[10000];"
+      " for (int i = 0; i < 10000; i++) a[i] = i; out(a[9999]); return 0; }";
+  const auto error_of = [](const auto& compile) -> std::string {
+    try {
+      compile();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(error_of([&] { pipeline::run_once(src, ProcessorConfig{}); }),
+            "frame of @main too large: 40004");
+  EXPECT_EQ(error_of([&] { sarm::run_minic_on_sarm(src); }),
+            "frame of @main too large: 40004");
+}
+
 // ---- e2e equivalence against the interpreter ----
 
 const char* kCorpus[] = {
@@ -285,6 +324,64 @@ TEST(SarmE2e, EpicAndSarmAgreeBitForBit) {
     auto sarm_sim = sarm::run_minic_on_sarm(src);
     EXPECT_EQ(epic.output(), sarm_sim.output()) << src;
   }
+}
+
+// ---- golden code digests ----
+
+std::string digest(const std::string& text) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(fnv1a64(text)));
+  return buf;
+}
+
+/// "<masked> <full>" digests of a program's listing; the masked one
+/// replaces every register number `rN` with `r#`.
+std::string code_digests(const SProgram& p) {
+  const std::string text = to_string(p);
+  static const std::regex kReg("r[0-9]+");
+  return cat(digest(std::regex_replace(text, kReg, "r#")), " ", digest(text));
+}
+
+TEST(SarmGolden, DigestsMatchCommittedCorpus) {
+  std::ostringstream fresh;
+  // bench_repro's --small sizes.
+  for (const workloads::Workload& w : workloads::all_workloads(16, 8, 16, 12)) {
+    fresh << "workload " << w.name << " "
+          << code_digests(compile_minic_to_sarm(w.minic_source)) << "\n";
+  }
+  // The first 200 fuzz modules that verify, as in ScheduleGolden.
+  for (std::uint64_t seed = 1, kept = 0; kept < 200; ++seed) {
+    Prng rng(seed);
+    const ir::Module m = testutil::random_module(rng);
+    try {
+      ir::verify_module(m);
+    } catch (const InternalError&) {
+      continue;
+    }
+    ++kept;
+    std::string digests = "throw";
+    try {
+      digests = code_digests(compile_ir_to_sarm(m));
+    } catch (const Error&) {
+    }
+    fresh << "fuzz " << seed << " " << digests << "\n";
+  }
+
+  const std::string path =
+      std::string(CEPIC_TEST_DIR) + "/golden/sarm_digests.txt";
+  if (std::getenv("CEPIC_REGEN_GOLDEN") != nullptr) {  // NOLINT(concurrency-mt-unsafe)
+    std::ofstream out(path, std::ios::binary);
+    out << fresh.str();
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << "missing golden corpus at " << path;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(golden.str(), fresh.str())
+      << "SARM code drifted from the committed digests; if the change is "
+         "intentional, update tests/golden/sarm_digests.txt";
 }
 
 }  // namespace
