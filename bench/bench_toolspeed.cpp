@@ -51,10 +51,11 @@ void BM_Optimize(benchmark::State& state) {
 BENCHMARK(BM_Optimize);
 
 // ---- per-pass micro-benchmarks (BM_OptPass/<name>) -------------------
-// Each runs one dense pass invocation over every function of the whole
-// workload corpus (unoptimised IR), isolating a single pass's cost from
-// the pipeline's scheduling.  The module copy per iteration is part of
-// the measured loop for every pass equally.
+// Each runs one pass invocation, with a fresh analysis manager, over
+// every function of the whole workload corpus (unoptimised IR),
+// isolating a single pass's cost from the pipeline's scheduling.  The
+// module copy per iteration is part of the measured loop for every pass
+// equally.
 
 const std::vector<ir::Module>& opt_corpus() {
   static const std::vector<ir::Module> modules = [] {
@@ -75,7 +76,8 @@ void opt_pass_bench(benchmark::State& state, Pass pass) {
     for (const ir::Module& base : corpus) {
       ir::Module m = base;
       for (ir::Function& fn : m.functions) {
-        benchmark::DoNotOptimize(pass(fn));
+        analysis::AnalysisManager am;  // cold: every analysis computed
+        benchmark::DoNotOptimize(pass(fn, am));
       }
       benchmark::DoNotOptimize(m);
     }
@@ -83,41 +85,40 @@ void opt_pass_bench(benchmark::State& state, Pass pass) {
 }
 
 void BM_OptPassConstfold(benchmark::State& state) {
-  opt_pass_bench(state,
-                 [](ir::Function& fn) { return opt::pass_constfold(fn); });
+  opt_pass_bench(state, opt::pass_constfold);
 }
 BENCHMARK(BM_OptPassConstfold)->Name("BM_OptPass/constfold");
 
 void BM_OptPassCopyProp(benchmark::State& state) {
-  opt_pass_bench(
-      state, [](ir::Function& fn) { return opt::pass_copy_propagate(fn); });
+  opt_pass_bench(state, opt::pass_copy_propagate);
 }
 BENCHMARK(BM_OptPassCopyProp)->Name("BM_OptPass/copy_propagate");
 
 void BM_OptPassCse(benchmark::State& state) {
-  opt_pass_bench(state, [](ir::Function& fn) { return opt::pass_cse(fn); });
+  opt_pass_bench(state, opt::pass_cse);
 }
 BENCHMARK(BM_OptPassCse)->Name("BM_OptPass/cse");
 
 void BM_OptPassDce(benchmark::State& state) {
-  opt_pass_bench(state, [](ir::Function& fn) { return opt::pass_dce(fn); });
+  opt_pass_bench(state, opt::pass_dce);
 }
 BENCHMARK(BM_OptPassDce)->Name("BM_OptPass/dce");
 
 void BM_OptPassSimplifyCfg(benchmark::State& state) {
-  opt_pass_bench(state,
-                 [](ir::Function& fn) { return opt::pass_simplify_cfg(fn); });
+  opt_pass_bench(state, opt::pass_simplify_cfg);
 }
 BENCHMARK(BM_OptPassSimplifyCfg)->Name("BM_OptPass/simplify_cfg");
 
 void BM_OptPassLicm(benchmark::State& state) {
-  opt_pass_bench(state, [](ir::Function& fn) { return opt::pass_licm(fn); });
+  opt_pass_bench(state, opt::pass_licm);
 }
 BENCHMARK(BM_OptPassLicm)->Name("BM_OptPass/licm");
 
 void BM_OptPassIfConvert(benchmark::State& state) {
-  opt_pass_bench(
-      state, [](ir::Function& fn) { return opt::pass_if_convert(fn, 10); });
+  opt_pass_bench(state,
+                 [](ir::Function& fn, analysis::AnalysisManager& am) {
+                   return opt::pass_if_convert(fn, am, 10);
+                 });
 }
 BENCHMARK(BM_OptPassIfConvert)->Name("BM_OptPass/if_convert");
 
@@ -261,7 +262,8 @@ ScalingJob copy_prop_job(int statements) {
               workloads::make_straight_line(1, statements))] {
     ir::Module m = base;
     for (ir::Function& fn : m.functions) {
-      benchmark::DoNotOptimize(opt::pass_copy_propagate(fn));
+      analysis::AnalysisManager am;
+      benchmark::DoNotOptimize(opt::pass_copy_propagate(fn, am));
     }
   };
 }

@@ -92,7 +92,7 @@ ProcessorConfig ProcessorConfig::from_text(std::string_view text) {
 
     auto as_uint = [&](unsigned& field) {
       std::int64_t v = 0;
-      if (!parse_int(value, v) || v < 0) {
+      if (!parse_int(value, v) || v < 0 || v > 0xFFFFFFFFLL) {
         throw ConfigError(
             cat("config line ", line_no, ": bad integer for ", key));
       }

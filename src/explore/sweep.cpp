@@ -1,6 +1,7 @@
 #include "explore/sweep.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "support/error.hpp"
 #include "support/text.hpp"
@@ -62,30 +63,44 @@ bool resolve_key(std::string_view key, Dimension& dim) {
   return false;
 }
 
+/// The most points a grid may expand to, far above any real sweep; checked
+/// before anything is materialised so a huge range fails fast.
+constexpr std::size_t kMaxPoints = std::size_t{1} << 20;
+
+[[noreturn]] void too_many_points(std::string_view grammar) {
+  throw ConfigError(
+      cat("grid `", grammar, "`: more than ", kMaxPoints, " points"));
+}
+
 unsigned parse_grid_uint(std::string_view token, std::string_view grammar) {
   std::int64_t v = 0;
-  if (!parse_int(token, v) || v < 0) {
+  if (!parse_int(token, v) || v < 0 || v > 0xFFFFFFFFLL) {
     throw ConfigError(
         cat("grid `", grammar, "`: bad value `", token, "`"));
   }
   return static_cast<unsigned>(v);
 }
 
-/// Append the values of one token: `7` or `lo..hi`.
+/// Append the values of one token: `7` or `lo..hi`.  One dimension's
+/// value count bounds the point count from below, so it obeys the cap.
 void append_values(std::string_view token, std::string_view grammar,
                    std::vector<unsigned>& out) {
   const auto dots = token.find("..");
   if (dots == std::string_view::npos) {
+    if (out.size() == kMaxPoints) too_many_points(grammar);
     out.push_back(parse_grid_uint(token, grammar));
     return;
   }
-  const unsigned lo = parse_grid_uint(token.substr(0, dots), grammar);
-  const unsigned hi = parse_grid_uint(token.substr(dots + 2), grammar);
+  const std::uint64_t lo = parse_grid_uint(token.substr(0, dots), grammar);
+  const std::uint64_t hi = parse_grid_uint(token.substr(dots + 2), grammar);
   if (hi < lo) {
     throw ConfigError(
         cat("grid `", grammar, "`: descending range `", token, "`"));
   }
-  for (unsigned v = lo; v <= hi; ++v) out.push_back(v);
+  if (hi - lo + 1 > kMaxPoints - out.size()) too_many_points(grammar);
+  for (std::uint64_t v = lo; v <= hi; ++v) {
+    out.push_back(static_cast<unsigned>(v));
+  }
 }
 
 }  // namespace
@@ -134,7 +149,10 @@ SweepSpec SweepSpec::from_grid(std::string_view grammar,
   // Row-major cartesian product, last dimension fastest.
   SweepSpec spec;
   std::size_t total = 1;
-  for (const Dimension& d : dims) total *= d.values.size();
+  for (const Dimension& d : dims) {
+    if (d.values.size() > kMaxPoints / total) too_many_points(grammar);
+    total *= d.values.size();
+  }
   spec.points.reserve(total);
   std::vector<std::size_t> idx(dims.size(), 0);
   for (std::size_t n = 0; n < total; ++n) {

@@ -36,7 +36,8 @@ struct SweepSpec {
 
   /// Expand a grid grammar over `base` (every parameter not named in the
   /// grammar keeps its base value). Throws ConfigError on a malformed
-  /// grammar or unknown key. The expansion itself never validates —
+  /// grammar, an unknown key, a value that does not fit 32 bits or a
+  /// grid of more than 2^20 points. The expansion itself never validates —
   /// call filter_invalid() to drop out-of-range combinations.
   static SweepSpec from_grid(std::string_view grammar,
                              const ProcessorConfig& base = {});

@@ -124,10 +124,19 @@ FuClass fu_by_name(std::string_view name, int line_no) {
 
 unsigned to_uint(const std::string& v, int line_no) {
   std::int64_t x = 0;
-  if (!parse_int(v, x) || x < 0) {
+  if (!parse_int(v, x) || x < 0 || x > 0xFFFFFFFFLL) {
     throw ConfigError(cat("mdes line ", line_no, ": bad integer `", v, "`"));
   }
   return static_cast<unsigned>(x);
+}
+
+/// The value of a single-valued Resource entry such as `issue(width 4)`.
+unsigned resource_value(const Entry& e, int line_no) {
+  if (e.kv.empty()) {
+    throw ConfigError(
+        cat("mdes line ", line_no, ": `", e.name, "` needs a value"));
+  }
+  return to_uint(e.kv.front().second, line_no);
 }
 
 }  // namespace
@@ -169,15 +178,15 @@ Mdes Mdes::from_text(std::string_view text) {
 
     if (section == Section::Resource) {
       if (entry->name == "issue") {
-        m.issue_width_ = to_uint(entry->kv.at(0).second, line_no);
+        m.issue_width_ = resource_value(*entry, line_no);
       } else if (entry->name == "regports") {
-        m.reg_port_budget_ = to_uint(entry->kv.at(0).second, line_no);
+        m.reg_port_budget_ = resource_value(*entry, line_no);
       } else if (entry->name == "forwarding") {
-        m.forwarding_ = to_uint(entry->kv.at(0).second, line_no) != 0;
+        m.forwarding_ = resource_value(*entry, line_no) != 0;
       } else {
         const FuClass fu = fu_by_name(entry->name, line_no);
         m.units_[static_cast<std::size_t>(fu)] =
-            to_uint(entry->kv.at(0).second, line_no);
+            resource_value(*entry, line_no);
       }
     } else if (section == Section::Operation) {
       const auto op = op_by_name(entry->name);

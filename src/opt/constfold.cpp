@@ -185,30 +185,22 @@ bool fold_inst(IrInst& inst) {
 
 }  // namespace
 
-bool pass_constfold(ir::Function& fn, PassContext& ctx) {
-  const std::size_t nb = fn.blocks.size();
-  ctx.touched = BlockSeed{false, analysis::BitSet(nb)};
+bool pass_constfold(ir::Function& fn, analysis::AnalysisManager& am) {
   bool changed = false;
   bool cfg_changed = false;
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    if (!ctx.seed.all && !ctx.seed.blocks.test(bi)) continue;
-    bool block_changed = false;
-    for (IrInst& inst : fn.blocks[bi].insts) {
+  for (ir::BasicBlock& block : fn.blocks) {
+    for (IrInst& inst : block.insts) {
       // Fold a constant conditional branch into a plain branch.
       if (inst.op == IrOp::CondBr && inst.a.is_imm()) {
         const int target = inst.a.imm != 0 ? inst.block_then : inst.block_else;
         inst = IrInst{};
         inst.op = IrOp::Br;
         inst.block_then = target;
-        block_changed = true;
+        changed = true;
         cfg_changed = true;
         continue;
       }
-      block_changed |= fold_inst(inst);
-    }
-    if (block_changed) {
-      ctx.touched.blocks.set(bi);
-      changed = true;
+      changed |= fold_inst(inst);
     }
   }
   if (changed) {
@@ -222,15 +214,9 @@ bool pass_constfold(ir::Function& fn, PassContext& ctx) {
           .preserve(analysis::AnalysisKind::kDominators)
           .preserve(analysis::AnalysisKind::kReachingDefs);
     }
-    ctx.am.invalidate(fn, preserved, "constfold");
+    am.invalidate(fn, preserved, "constfold");
   }
   return changed;
-}
-
-bool pass_constfold(ir::Function& fn) {
-  analysis::AnalysisManager am;
-  PassContext ctx(am);
-  return pass_constfold(fn, ctx);
 }
 
 }  // namespace cepic::opt

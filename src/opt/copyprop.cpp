@@ -3,16 +3,10 @@
 // redefined.  Cross-block facts come from the framework's available-
 // copies analysis (forward, intersection join), so a copy survives a
 // join point only when it holds on every incoming path.  Guarded movs
-// are conditional and are never propagated.
-//
-// Sparse mode: rewriting a block is a pure function of its contents and
-// the (dst, src) facts available on entry, so a block is skipped when
-// neither changed since this pass last left it alone.  The previous
-// facts live in the driver-owned CopypropState, stored sorted so the
-// comparison is independent of site renumbering.
-#include <algorithm>
+// are conditional and are never propagated.  Rewriting a block is a
+// pure function of its contents and the copies available on entry, so
+// one forward walk per block seeded from the analysis is the whole pass.
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "analysis/cfg.hpp"
@@ -103,78 +97,36 @@ bool propagate_block(ir::BasicBlock& block, CopyMap& copies) {
   return changed;
 }
 
-using Facts = std::vector<std::pair<VReg, Value>>;
-
-bool fact_less(const std::pair<VReg, Value>& x,
-               const std::pair<VReg, Value>& y) {
-  if (x.first != y.first) return x.first < y.first;
-  if (x.second.kind != y.second.kind) return x.second.kind < y.second.kind;
-  if (x.second.is_reg()) return x.second.reg < y.second.reg;
-  return x.second.imm < y.second.imm;
-}
-
 }  // namespace
 
-bool pass_copy_propagate(ir::Function& fn, PassContext& ctx) {
-  const std::size_t nb = fn.blocks.size();
-  ctx.touched = BlockSeed{false, analysis::BitSet(nb)};
-  const analysis::AvailableCopies& ac = ctx.am.available_copies(fn);
-
-  // The sorted entry facts of every block, both the skip criterion and
-  // the CopyMap seed.  At most one site per dst can be simultaneously
-  // available (a second mov to the same dst kills the first), so the
-  // sorted form is canonical.
-  std::vector<Facts> facts(nb);
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    for (std::size_t s = 0; s < ac.sites.size(); ++s) {
-      if (ac.avail_in[bi].test(s)) {
-        facts[bi].emplace_back(ac.sites[s].dst, ac.sites[s].src);
-      }
-    }
-    std::sort(facts[bi].begin(), facts[bi].end(), fact_less);
-  }
-
-  const bool have_snapshot = ctx.cp_state != nullptr &&
-                             ctx.cp_state->valid &&
-                             ctx.cp_state->avail_in.size() == nb;
+bool pass_copy_propagate(ir::Function& fn, analysis::AnalysisManager& am) {
+  const analysis::AvailableCopies& ac = am.available_copies(fn);
   bool changed = false;
   CopyMap copies;
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    const bool seeded = ctx.seed.all || ctx.seed.blocks.test(bi);
-    if (!seeded && have_snapshot &&
-        ctx.cp_state->avail_in[bi] == facts[bi]) {
-      continue;  // same contents, same entry facts -> provably a no-op
-    }
+  for (std::size_t bi = 0; bi < fn.blocks.size(); ++bi) {
+    // Seed the map with the copies available on entry.  At most one
+    // site per dst is ever available at once (a second mov to the same
+    // dst kills the first), so the recording order is immaterial.
     copies.clear();
-    for (const auto& [dst, src] : facts[bi]) copies.record(dst, src);
-    if (propagate_block(fn.blocks[bi], copies)) {
-      ctx.touched.blocks.set(bi);
-      changed = true;
+    for (std::size_t s = 0; s < ac.sites.size(); ++s) {
+      if (ac.avail_in[bi].test(s)) {
+        copies.record(ac.sites[s].dst, ac.sites[s].src);
+      }
     }
-  }
-
-  if (ctx.cp_state != nullptr) {
-    ctx.cp_state->avail_in = std::move(facts);
-    ctx.cp_state->valid = true;
+    changed |= propagate_block(fn.blocks[bi], copies);
   }
   if (changed) {
     // Operand rewrites only: no instruction moves, no dst changes, no
     // guard appears or disappears — the graph, dominance and the
     // def-site structure survive.
-    ctx.am.invalidate(fn,
-                      analysis::PreservedAnalyses::none()
-                          .preserve(analysis::AnalysisKind::kCfg)
-                          .preserve(analysis::AnalysisKind::kDominators)
-                          .preserve(analysis::AnalysisKind::kReachingDefs),
-                      "copy_propagate");
+    am.invalidate(fn,
+                  analysis::PreservedAnalyses::none()
+                      .preserve(analysis::AnalysisKind::kCfg)
+                      .preserve(analysis::AnalysisKind::kDominators)
+                      .preserve(analysis::AnalysisKind::kReachingDefs),
+                  "copy_propagate");
   }
   return changed;
-}
-
-bool pass_copy_propagate(ir::Function& fn) {
-  analysis::AnalysisManager am;
-  PassContext ctx(am);
-  return pass_copy_propagate(fn, ctx);
 }
 
 }  // namespace cepic::opt

@@ -181,36 +181,22 @@ bool cse_block(ir::BasicBlock& block, Table& table) {
 
 }  // namespace
 
-bool pass_cse(ir::Function& fn, PassContext& ctx) {
-  const std::size_t nb = fn.blocks.size();
-  ctx.touched = BlockSeed{false, analysis::BitSet(nb)};
+bool pass_cse(ir::Function& fn, analysis::AnalysisManager& am) {
   Table table(fn.next_vreg);
   bool changed = false;
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    if (!ctx.seed.all && !ctx.seed.blocks.test(bi)) continue;
-    if (cse_block(fn.blocks[bi], table)) {
-      ctx.touched.blocks.set(bi);
-      changed = true;
-    }
-  }
+  for (ir::BasicBlock& block : fn.blocks) changed |= cse_block(block, table);
   if (changed) {
     // Rewrites replace an instruction with a mov to the same dst at the
     // same position and never touch terminators or guards: the graph,
     // dominance and the def-site structure all survive.
-    ctx.am.invalidate(fn,
-                      analysis::PreservedAnalyses::none()
-                          .preserve(analysis::AnalysisKind::kCfg)
-                          .preserve(analysis::AnalysisKind::kDominators)
-                          .preserve(analysis::AnalysisKind::kReachingDefs),
-                      "cse");
+    am.invalidate(fn,
+                  analysis::PreservedAnalyses::none()
+                      .preserve(analysis::AnalysisKind::kCfg)
+                      .preserve(analysis::AnalysisKind::kDominators)
+                      .preserve(analysis::AnalysisKind::kReachingDefs),
+                  "cse");
   }
   return changed;
-}
-
-bool pass_cse(ir::Function& fn) {
-  analysis::AnalysisManager am;
-  PassContext ctx(am);
-  return pass_cse(fn, ctx);
 }
 
 }  // namespace cepic::opt

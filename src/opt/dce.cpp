@@ -5,9 +5,7 @@
 // are simply not marked live, so feeder chains die in the same sweep).
 // Removals only shrink liveness, so instead of re-sweeping the whole
 // function per liveness iteration the pass re-sweeps exactly the blocks
-// whose live_out moved — and, across invocations, seeds from the blocks
-// later passes touched plus those whose live_out differs from the
-// snapshot taken when this pass last ran (driver-owned DceState).
+// whose live_out moved.
 #include <vector>
 
 #include "analysis/analyses.hpp"
@@ -57,9 +55,8 @@ bool sweep_block(ir::BasicBlock& block, const analysis::BitSet& live_out) {
 
 }  // namespace
 
-bool pass_dce(ir::Function& fn, PassContext& ctx) {
+bool pass_dce(ir::Function& fn, analysis::AnalysisManager& am) {
   const std::size_t nb = fn.blocks.size();
-  ctx.touched = BlockSeed{false, analysis::BitSet(nb)};
 
   // Removing defs and uses never shelters a previously-dead value (a
   // dead def's kill is always shadowed by the later def that made it
@@ -69,30 +66,14 @@ bool pass_dce(ir::Function& fn, PassContext& ctx) {
                              .preserve(analysis::AnalysisKind::kCfg)
                              .preserve(analysis::AnalysisKind::kDominators);
 
-  const analysis::Liveness* lv = &ctx.am.liveness(fn);
-
-  // First sweep: touched blocks plus those whose live_out moved since
-  // the last run; without a usable snapshot, everything.
+  const analysis::Liveness* lv = &am.liveness(fn);
   analysis::BitSet work(nb);
-  const bool have_snapshot = ctx.dce_state != nullptr &&
-                             ctx.dce_state->valid &&
-                             ctx.dce_state->live_out.size() == nb;
-  if (ctx.seed.all || !have_snapshot) {
-    work.set_all();
-  } else {
-    work = ctx.seed.blocks;
-    for (std::size_t b = 0; b < nb; ++b) {
-      if (lv->live_out[b] != ctx.dce_state->live_out[b]) work.set(b);
-    }
-  }
-
+  work.set_all();
   bool changed = false;
   for (;;) {
     bool swept = false;
     for (std::size_t b = 0; b < nb; ++b) {
-      if (!work.test(b)) continue;
-      if (sweep_block(fn.blocks[b], lv->live_out[b])) {
-        ctx.touched.blocks.set(b);
+      if (work.test(b) && sweep_block(fn.blocks[b], lv->live_out[b])) {
         swept = true;
         changed = true;
       }
@@ -101,25 +82,14 @@ bool pass_dce(ir::Function& fn, PassContext& ctx) {
     // Removing uses can expose more dead defs elsewhere: re-solve
     // liveness and re-sweep exactly the blocks whose live_out moved.
     std::vector<analysis::BitSet> old_live_out = lv->live_out;
-    ctx.am.invalidate(fn, preserved, "dce");
-    lv = &ctx.am.liveness(fn);
+    am.invalidate(fn, preserved, "dce");
+    lv = &am.liveness(fn);
     work.clear();
     for (std::size_t b = 0; b < nb; ++b) {
       if (lv->live_out[b] != old_live_out[b]) work.set(b);
     }
   }
-
-  if (ctx.dce_state != nullptr) {
-    ctx.dce_state->live_out = lv->live_out;
-    ctx.dce_state->valid = true;
-  }
   return changed;
-}
-
-bool pass_dce(ir::Function& fn) {
-  analysis::AnalysisManager am;
-  PassContext ctx(am);
-  return pass_dce(fn, ctx);
 }
 
 }  // namespace cepic::opt

@@ -56,7 +56,8 @@ void append_guarded(BasicBlock& dst, const BasicBlock& arm, VReg guard,
 
 }  // namespace
 
-bool pass_if_convert(ir::Function& fn, int max_ops) {
+bool pass_if_convert(ir::Function& fn, analysis::AnalysisManager& am,
+                     int max_ops) {
   bool changed = false;
   const auto preds = analysis::predecessors(fn);
 
@@ -112,6 +113,8 @@ bool pass_if_convert(ir::Function& fn, int max_ops) {
     changed = true;
     // The arm blocks are now unreachable; simplify_cfg sweeps them.
   }
+  // Edges vanished and defs became guarded: nothing survives.
+  if (changed) am.invalidate_all(fn);
   return changed;
 }
 

@@ -76,12 +76,14 @@ std::vector<Loop> find_loops(const ir::Function& fn,
 
 }  // namespace
 
-bool pass_licm(ir::Function& fn) {
+bool pass_licm(ir::Function& fn, analysis::AnalysisManager& am) {
   bool changed = false;
   const auto preds = analysis::predecessors(fn);
   const std::vector<Loop> loops = find_loops(fn, preds);
   if (loops.empty()) return false;
-  const analysis::Liveness lv = analysis::compute_liveness(fn);
+  // The pre-hoist solution: it stays cached (and this reference valid)
+  // until the invalidation below.
+  const analysis::Liveness& lv = am.liveness(fn);
 
   for (const Loop& loop : loops) {
     // Registers defined anywhere in the loop, with def counts.
@@ -165,6 +167,8 @@ bool pass_licm(ir::Function& fn) {
       }
     }
   }
+  // New blocks and moved defs: nothing survives.
+  if (changed) am.invalidate_all(fn);
   return changed;
 }
 

@@ -5,7 +5,6 @@
 // benches (A1 measures if-conversion on/off).
 #pragma once
 
-#include <utility>
 #include <vector>
 
 #include "analysis/manager.hpp"
@@ -37,76 +36,25 @@ struct OptOptions {
   /// Purely a check — never changes the emitted IR, so the pipeline
   /// store deliberately leaves it out of its key material.
   bool verify_each_pass = false;
-  /// Skip pass invocations that provably cannot change anything (the
-  /// function's analysis-manager version is unchanged since the pass
-  /// last reported "no change") and seed the sparse pass variants from
-  /// the blocks earlier passes actually touched.  Off = the dense
-  /// reference mode: every pass rescans the whole function.  Both modes
-  /// produce byte-identical IR (pinned by tests/golden); like
-  /// verify_each_pass this is deliberately not pipeline-key material.
-  bool incremental = true;
   /// Differential-check every PreservedAnalyses claim against a fresh
   /// recomputation (expensive; also enabled by CEPIC_VERIFY_ANALYSES).
   bool verify_analyses = false;
-};
-
-/// A set of dirty blocks handed to (and reported by) the sparse pass
-/// variants. `all` means "every block" — used on the first run and
-/// whenever blocks were renumbered, added or removed since.
-struct BlockSeed {
-  bool all = true;
-  analysis::BitSet blocks;  ///< valid when !all; indexed by block id
-};
-
-/// DCE's cross-invocation memory: live_out at the end of its last run.
-/// On the next run only blocks whose live_out moved (or whose contents
-/// a later pass touched) can hold newly-dead instructions.
-struct DceState {
-  bool valid = false;
-  std::vector<analysis::BitSet> live_out;
-};
-
-/// Copy propagation's cross-invocation memory: the (dst, src) facts
-/// available on entry to each block when it was last rewritten, stored
-/// sorted so they compare independently of site numbering.
-struct CopypropState {
-  bool valid = false;
-  std::vector<std::vector<std::pair<ir::VReg, ir::Value>>> avail_in;
-};
-
-/// Context for the manager-aware pass variants.  The pass reads
-/// analyses through `am`, restricts its scan to `seed`, reports the
-/// blocks it modified in `touched` (all = block ids changed), and — when
-/// it changed the function — tells the manager what survived.
-struct PassContext {
-  explicit PassContext(analysis::AnalysisManager& manager) : am(manager) {}
-
-  analysis::AnalysisManager& am;
-  BlockSeed seed;                    ///< in: blocks needing reprocessing
-  BlockSeed touched{false, {}};      ///< out: blocks the pass modified
-  DceState* dce_state = nullptr;     ///< owned by the driver; may be null
-  CopypropState* cp_state = nullptr; ///< owned by the driver; may be null
 };
 
 /// Run the full pipeline to a fixed point (bounded by max_rounds).
 void optimize(ir::Module& module, const OptOptions& options = {});
 
 // ---- individual passes; each returns true if it changed anything ----
-// The one-argument forms are the dense legacy entry points (unit tests,
-// ablation benches): they run over the whole function with a throwaway
-// manager. The PassContext forms are what the pipeline drives.
-bool pass_constfold(ir::Function& fn);
-bool pass_constfold(ir::Function& fn, PassContext& ctx);
-bool pass_copy_propagate(ir::Function& fn);
-bool pass_copy_propagate(ir::Function& fn, PassContext& ctx);
-bool pass_cse(ir::Function& fn);
-bool pass_cse(ir::Function& fn, PassContext& ctx);
-bool pass_licm(ir::Function& fn);
-bool pass_dce(ir::Function& fn);
-bool pass_dce(ir::Function& fn, PassContext& ctx);
-bool pass_simplify_cfg(ir::Function& fn);
-bool pass_simplify_cfg(ir::Function& fn, PassContext& ctx);
-bool pass_if_convert(ir::Function& fn, int max_ops);
+// A pass reads analyses through `am` and, when it changed the function,
+// tells the manager what survived (bumping the function's version).
+bool pass_constfold(ir::Function& fn, analysis::AnalysisManager& am);
+bool pass_copy_propagate(ir::Function& fn, analysis::AnalysisManager& am);
+bool pass_cse(ir::Function& fn, analysis::AnalysisManager& am);
+bool pass_licm(ir::Function& fn, analysis::AnalysisManager& am);
+bool pass_dce(ir::Function& fn, analysis::AnalysisManager& am);
+bool pass_simplify_cfg(ir::Function& fn, analysis::AnalysisManager& am);
+bool pass_if_convert(ir::Function& fn, analysis::AnalysisManager& am,
+                     int max_ops);
 /// `fn_changed`, when non-null, is sized to module.functions and set
 /// per caller so the driver can invalidate exactly the functions that
 /// received clones.

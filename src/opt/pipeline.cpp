@@ -1,8 +1,6 @@
-// The pass driver.  Historically this iterated the whole pass battery
-// over the whole module until a round changed nothing — every pass
-// rescanned every function every round.  The driver now runs the same
-// battery in the same order (output IR is pinned byte-identical by
-// tests/golden), but each invocation is change-driven:
+// The pass driver.  It iterates a fixed pass battery, in a fixed order,
+// over every function until a round changes nothing (output IR is
+// pinned byte-identical by tests/golden).  Two things keep that cheap:
 //
 //  * a shared AnalysisManager caches Cfg/dominators/liveness/reaching-
 //    defs/available-copies per function; passes declare what they
@@ -10,14 +8,16 @@
 //  * every (function, pass) pair remembers the manager version at which
 //    the pass last reported "no change"; a deterministic pass re-run on
 //    an unchanged function is provably a no-op, so the invocation is
-//    skipped outright (`opt.pass_skips`);
-//  * the sparse pass variants are seeded with the blocks earlier passes
-//    actually touched instead of rescanning the function.
+//    skipped outright (`opt.pass_skips`).
 //
-// The outer round loop survives only as the inline barrier the battery
-// is ordered around (inlining between rounds is semantically
-// observable); once the module converges a round degenerates to a
-// handful of version checks and the loop exits having run nothing.
+// Every pass rescans the whole function when it does run; the sparse
+// work lives inside the passes (DCE's re-sweep of the blocks whose
+// live_out moved).  The outer round loop survives as the inline
+// barrier the battery is ordered around (inlining between rounds is
+// semantically observable); once the module converges a round
+// degenerates to a handful of version checks and the loop exits.
+#include <array>
+#include <cstdint>
 #include <cstdlib>
 #include <vector>
 
@@ -54,46 +54,6 @@ enum PassId {
   kNumPassIds,
 };
 
-/// Everything the driver remembers about one function between pass
-/// invocations: per-pass clean versions and dirty-block sets, plus the
-/// sparse passes' cross-invocation snapshots.
-struct FnState {
-  std::uint64_t clean_version[kNumPassIds] = {};
-  BlockSeed pending[kNumPassIds];  // defaults to all-dirty
-  DceState dce;
-  CopypropState cp;
-
-  /// Blocks were renumbered/added/removed: every block-level fact about
-  /// this function is void.
-  void mark_all_dirty() {
-    for (BlockSeed& p : pending) p = BlockSeed{};
-    dce.valid = false;
-    cp.valid = false;
-  }
-
-  /// Fold a pass's touched set into every other pass's pending set.
-  void absorb_touched(PassId pass, BlockSeed&& touched) {
-    if (touched.all) {
-      mark_all_dirty();
-      return;
-    }
-    const std::size_t nb = touched.blocks.size();
-    for (int q = 0; q < kNumPassIds; ++q) {
-      if (q == pass) continue;
-      BlockSeed& p = pending[q];
-      if (p.all) continue;
-      if (p.blocks.size() != nb) {
-        p = BlockSeed{};  // stale sizing; treat as all-dirty
-        continue;
-      }
-      p.blocks.ior(touched.blocks);
-    }
-    // The pass itself just processed its seed; only its own touches can
-    // need a revisit.
-    pending[pass] = BlockSeed{false, std::move(touched.blocks)};
-  }
-};
-
 class Driver {
  public:
   Driver(ir::Module& module, const OptOptions& options)
@@ -102,66 +62,37 @@ class Driver {
         verify_each_(
             options.verify_each_pass ||
             std::getenv("CEPIC_VERIFY_IR") != nullptr),  // NOLINT(concurrency-mt-unsafe)
-        states_(module.functions.size()) {
+        clean_version_(module.functions.size()) {
     am_.set_verify(
         options.verify_analyses ||
         std::getenv("CEPIC_VERIFY_ANALYSES") != nullptr);  // NOLINT(concurrency-mt-unsafe)
   }
 
-  analysis::AnalysisManager& manager() { return am_; }
-
-  /// Run a manager-aware (sparse) pass on one function.
+  /// Run one pass on one function unless the pass already reported "no
+  /// change" at the function's current version.
   template <typename Pass>
   bool run(PassId id, const char* name, Pass pass, std::size_t fi) {
     ir::Function& fn = module_.functions[fi];
-    FnState& st = states_[fi];
-    if (skip(id, st, fn)) return false;
-    PassContext ctx(am_);
-    if (options_.incremental) {
-      ctx.seed = std::move(st.pending[id]);
-      st.pending[id] = BlockSeed{};
-      if (id == kDce) ctx.dce_state = &st.dce;
-      if (id == kCopyprop) ctx.cp_state = &st.cp;
+    std::uint64_t& clean = clean_version_[fi][id];
+    const std::uint64_t version = am_.version(fn);
+    if (clean == version) {
+      obs::add("opt.pass_skips");
+      return false;
     }
     bool changed = false;
     {
       obs::Span span(name, "opt");
       obs::ScopedObserve latency("opt.pass_ns");
       span.arg("fn", fn.name);
-      changed = pass(fn, ctx);
+      changed = pass(fn, am_);
     }
     obs::add("opt.pass_runs");
     if (verify_each_) verify_after(module_, name);
-    if (changed) {
-      st.absorb_touched(id, std::move(ctx.touched));
-    } else {
-      mark_clean(id, st, fn);
-    }
-    return changed;
-  }
-
-  /// Run a dense legacy pass (licm, if_convert) on one function; any
-  /// change voids everything the manager and driver knew about it.
-  template <typename Pass>
-  bool run_dense(PassId id, const char* name, Pass pass, std::size_t fi) {
-    ir::Function& fn = module_.functions[fi];
-    FnState& st = states_[fi];
-    if (skip(id, st, fn)) return false;
-    bool changed = false;
-    {
-      obs::Span span(name, "opt");
-      obs::ScopedObserve latency("opt.pass_ns");
-      span.arg("fn", fn.name);
-      changed = pass(fn);
-    }
-    obs::add("opt.pass_runs");
-    if (verify_each_) verify_after(module_, name);
-    if (changed) {
-      am_.invalidate_all(fn);
-      st.mark_all_dirty();
-    } else {
-      mark_clean(id, st, fn);
-    }
+    // The skip is sound only if every change bumps the version.
+    CEPIC_CHECK(!changed || am_.version(fn) != version,
+                cat("pass ", name, " changed @", fn.name,
+                    " without invalidating"));
+    if (!changed) clean = version;
     return changed;
   }
 
@@ -169,8 +100,7 @@ class Driver {
   /// condition is module-wide: every function unchanged since the last
   /// no-op inline run.
   bool run_inline() {
-    if (options_.incremental &&
-        inline_clean_.size() == module_.functions.size()) {
+    if (inline_clean_.size() == module_.functions.size()) {
       bool clean = true;
       for (std::size_t fi = 0; fi < module_.functions.size(); ++fi) {
         if (inline_clean_[fi] != am_.version(module_.functions[fi])) {
@@ -195,10 +125,7 @@ class Driver {
     if (changed) {
       inline_clean_.clear();
       for (std::size_t fi = 0; fi < module_.functions.size(); ++fi) {
-        if (fn_changed[fi]) {
-          am_.invalidate_all(module_.functions[fi]);
-          states_[fi].mark_all_dirty();
-        }
+        if (fn_changed[fi]) am_.invalidate_all(module_.functions[fi]);
       }
     } else {
       inline_clean_.resize(module_.functions.size());
@@ -210,26 +137,13 @@ class Driver {
   }
 
  private:
-  bool skip(PassId id, const FnState& st, const ir::Function& fn) {
-    if (options_.incremental &&
-        st.clean_version[id] == am_.version(fn)) {
-      obs::add("opt.pass_skips");
-      return true;
-    }
-    return false;
-  }
-
-  void mark_clean(PassId id, FnState& st, const ir::Function& fn) {
-    st.clean_version[id] = am_.version(fn);
-    st.pending[id] =
-        BlockSeed{false, analysis::BitSet(fn.blocks.size())};
-  }
-
   ir::Module& module_;
   const OptOptions& options_;
   const bool verify_each_;
   analysis::AnalysisManager am_;
-  std::vector<FnState> states_;
+  /// Per function, per pass: the version at which the pass last
+  /// reported "no change" (0 = never; versions start at 1).
+  std::vector<std::array<std::uint64_t, kNumPassIds>> clean_version_;
   std::vector<std::uint64_t> inline_clean_;
 };
 
@@ -247,72 +161,47 @@ void optimize(ir::Module& module, const OptOptions& options) {
     bool changed = false;
     if (options.inline_calls) changed |= driver.run_inline();
     for (std::size_t fi = 0; fi < module.functions.size(); ++fi) {
-      if (options.simplify_cfg) {
-        changed |= driver.run(kSimplifyCfg, "simplify_cfg",
-                              [](ir::Function& fn, PassContext& ctx) {
-                                return pass_simplify_cfg(fn, ctx);
-                              },
-                              fi);
-      }
-      const auto constfold = [](ir::Function& fn, PassContext& ctx) {
-        return pass_constfold(fn, ctx);
-      };
-      const auto copyprop = [](ir::Function& fn, PassContext& ctx) {
-        return pass_copy_propagate(fn, ctx);
-      };
-      const auto cse = [](ir::Function& fn, PassContext& ctx) {
-        return pass_cse(fn, ctx);
-      };
-      if (options.fold) changed |= driver.run(kConstfold, "constfold",
-                                              constfold, fi);
-      if (options.copy_propagate) {
-        changed |= driver.run(kCopyprop, "copy_propagate", copyprop, fi);
-      }
-      if (options.cse) changed |= driver.run(kCse, "cse", cse, fi);
-      if (options.licm) {
-        changed |= driver.run_dense(kLicm, "licm",
-                                    [](ir::Function& fn) {
-                                      return pass_licm(fn);
-                                    },
-                                    fi);
+      const auto simplify_cfg = [&] {
         if (options.simplify_cfg) {
           changed |= driver.run(kSimplifyCfg, "simplify_cfg",
-                                [](ir::Function& fn, PassContext& ctx) {
-                                  return pass_simplify_cfg(fn, ctx);
-                                },
-                                fi);
+                                pass_simplify_cfg, fi);
         }
+      };
+      const auto copyprop = [&] {
         if (options.copy_propagate) {
-          changed |= driver.run(kCopyprop, "copy_propagate", copyprop, fi);
+          changed |= driver.run(kCopyprop, "copy_propagate",
+                                pass_copy_propagate, fi);
         }
-        if (options.cse) changed |= driver.run(kCse, "cse", cse, fi);
+      };
+      const auto constfold = [&] {
+        if (options.fold) {
+          changed |= driver.run(kConstfold, "constfold", pass_constfold, fi);
+        }
+      };
+      const auto cse = [&] {
+        if (options.cse) changed |= driver.run(kCse, "cse", pass_cse, fi);
+      };
+      simplify_cfg();
+      constfold();
+      copyprop();
+      cse();
+      if (options.licm) {
+        changed |= driver.run(kLicm, "licm", pass_licm, fi);
+        simplify_cfg();
+        copyprop();
+        cse();
       }
-      if (options.fold) changed |= driver.run(kConstfold, "constfold",
-                                              constfold, fi);
-      if (options.copy_propagate) {
-        changed |= driver.run(kCopyprop, "copy_propagate", copyprop, fi);
-      }
-      if (options.dce) {
-        changed |= driver.run(kDce, "dce",
-                              [](ir::Function& fn, PassContext& ctx) {
-                                return pass_dce(fn, ctx);
-                              },
-                              fi);
-      }
+      constfold();
+      copyprop();
+      if (options.dce) changed |= driver.run(kDce, "dce", pass_dce, fi);
       if (options.if_convert) {
-        changed |= driver.run_dense(
+        changed |= driver.run(
             kIfConvert, "if_convert",
-            [&options](ir::Function& fn) {
-              return pass_if_convert(fn, options.if_convert_max_ops);
+            [&options](ir::Function& fn, analysis::AnalysisManager& am) {
+              return pass_if_convert(fn, am, options.if_convert_max_ops);
             },
             fi);
-        if (options.simplify_cfg) {
-          changed |= driver.run(kSimplifyCfg, "simplify_cfg",
-                                [](ir::Function& fn, PassContext& ctx) {
-                                  return pass_simplify_cfg(fn, ctx);
-                                },
-                                fi);
-        }
+        simplify_cfg();
       }
     }
     if (!changed) break;

@@ -164,23 +164,15 @@ bool run_rounds(ir::Function& fn) {
 
 }  // namespace
 
-bool pass_simplify_cfg(ir::Function& fn, PassContext& ctx) {
-  // Function-granular: any change can splice, renumber or delete blocks,
-  // so there is no meaningful block-level seed or preservation story —
-  // the driver's version skip is what makes repeat invocations cheap.
+bool pass_simplify_cfg(ir::Function& fn, analysis::AnalysisManager& am) {
+  // Any change can splice, renumber or delete blocks, so nothing
+  // survives; the driver's version skip is what makes repeat
+  // invocations cheap.
   const bool changed = run_rounds(fn);
-  ctx.touched = BlockSeed{changed, {}};
   if (changed) {
-    ctx.am.invalidate(fn, analysis::PreservedAnalyses::none(),
-                      "simplify_cfg");
+    am.invalidate(fn, analysis::PreservedAnalyses::none(), "simplify_cfg");
   }
   return changed;
-}
-
-bool pass_simplify_cfg(ir::Function& fn) {
-  analysis::AnalysisManager am;
-  PassContext ctx(am);
-  return pass_simplify_cfg(fn, ctx);
 }
 
 }  // namespace cepic::opt

@@ -24,9 +24,8 @@ namespace {
 /// Canonical key material for the optimiser slice of CodegenOptions.
 /// Every field is spelled out so that adding one without extending this
 /// list shows up in review, not as a stale-artifact bug.  Deliberately
-/// absent: verify_each_pass, verify_analyses and incremental, which are
-/// check/scheduling knobs pinned byte-identical on the output by
-/// tests/golden/optimize_digests.txt.
+/// absent: verify_each_pass and verify_analyses, which are pure checks
+/// and never change the emitted IR.
 std::string opt_options_text(const opt::OptOptions& o, bool optimize) {
   return cat("optimize=", optimize ? 1 : 0, ";fold=", o.fold ? 1 : 0,
              ";copyprop=", o.copy_propagate ? 1 : 0, ";cse=", o.cse ? 1 : 0,

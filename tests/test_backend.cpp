@@ -125,12 +125,13 @@ TEST(Lowering, ErrorsNameTheFunctionAndBlock) {
 }
 
 TEST(Lowering, GuardedStoreKeepsGuard) {
+  analysis::AnalysisManager am;
   ir::Module m = minic::compile_to_ir(
       "int g[1];\n"
       "int f(int a) { if (a > 0) g[0] = a; return g[0]; }");
   for (ir::Function& fn : m.functions) {
-    opt::pass_if_convert(fn, 10);
-    opt::pass_simplify_cfg(fn);
+    opt::pass_if_convert(fn, am, 10);
+    opt::pass_simplify_cfg(fn, am);
   }
   const ProcessorConfig cfg;
   const Mdes mdes(cfg);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/config.hpp"
 
 namespace cepic {
@@ -108,6 +110,20 @@ TEST(Config, FromTextRejectsUnknownKey) {
 TEST(Config, FromTextRejectsMalformedLine) {
   EXPECT_THROW(ProcessorConfig::from_text("num_alus 4\n"), ConfigError);
   EXPECT_THROW(ProcessorConfig::from_text("num_alus = four\n"), ConfigError);
+}
+
+TEST(Config, FromTextRejectsIntegersBeyond32Bits) {
+  // 2^32 + 1 must not wrap to a valid num_alus of 1.
+  try {
+    ProcessorConfig::from_text("num_alus = 4294967297\n");
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("bad integer for num_alus"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(ProcessorConfig::from_text("num_gprs = 4294967296\n"),
+               ConfigError);
 }
 
 TEST(Config, FromTextValidates) {

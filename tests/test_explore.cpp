@@ -115,6 +115,41 @@ TEST(SweepSpec, RejectsMalformedGrammar) {
   EXPECT_THROW(SweepSpec::from_grid("alus=1,,2"), ConfigError);
 }
 
+TEST(SweepSpec, RejectsValuesBeyond32Bits) {
+  // 2^32 + 2 must not wrap to alus = 2.
+  try {
+    SweepSpec::from_grid("alus=4294967298");
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("bad value `4294967298`"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(SweepSpec::from_grid("alus=1..4294967296"), ConfigError);
+}
+
+TEST(SweepSpec, RejectsGridsBeyondThePointCap) {
+  // Each of these fails before a single value or point is built.
+  for (const char* grid :
+       {"alus=1..4294967295", "alus=0..1048576", "alus=1..1048576,0",
+        "alus=1..1024,ports=1..1025"}) {
+    try {
+      SweepSpec::from_grid(grid);
+      ADD_FAILURE() << grid << ": expected ConfigError";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("more than 1048576 points"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(SweepSpec, RangeEndingAtTheTopValueTerminates) {
+  const SweepSpec spec = SweepSpec::from_grid("alus=4294967290..4294967295");
+  ASSERT_EQ(spec.points.size(), 6u);
+  EXPECT_EQ(spec.points.back().num_alus, 4294967295u);
+}
+
 TEST(SweepSpec, FilterInvalidDropsOutOfRangePoints) {
   SweepSpec spec = SweepSpec::from_grid("stages=1..5");
   ASSERT_EQ(spec.size(), 5u);

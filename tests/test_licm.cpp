@@ -48,6 +48,7 @@ ir::Module prepared(const char* src) {
 }
 
 TEST(Licm, HoistsGlobalAddressOutOfLoop) {
+  analysis::AnalysisManager am;
   ir::Module m = prepared(
       "int g[8];\n"
       "int main() { int s = 0;"
@@ -58,7 +59,7 @@ TEST(Licm, HoistsGlobalAddressOutOfLoop) {
   ASSERT_GE(body, 0);
   ASSERT_EQ(count_in_block(fn, body, IrOp::GlobalAddr), 1u);
 
-  EXPECT_TRUE(opt::pass_licm(fn));
+  EXPECT_TRUE(opt::pass_licm(fn, am));
   EXPECT_EQ(count_in_block(fn, body, IrOp::GlobalAddr), 0u);
   // Still exactly one gaddr overall — now in the preheader.
   EXPECT_EQ(count_op(fn, IrOp::GlobalAddr), 1u);
@@ -68,6 +69,7 @@ TEST(Licm, HoistsGlobalAddressOutOfLoop) {
 }
 
 TEST(Licm, LeavesVariantComputationAlone) {
+  analysis::AnalysisManager am;
   ir::Module m = prepared(
       "int main() { int s = 0;"
       " for (int i = 0; i < 8; i++) s += i * i;"
@@ -76,7 +78,7 @@ TEST(Licm, LeavesVariantComputationAlone) {
   const int body = body_block(fn);
   ASSERT_GE(body, 0);
   const std::size_t muls_before = count_in_block(fn, body, IrOp::Mul);
-  opt::pass_licm(fn);
+  opt::pass_licm(fn, am);
   EXPECT_EQ(count_in_block(fn, body, IrOp::Mul), muls_before);
   ir::verify_module(m);
   EXPECT_EQ(ir::Interpreter(m).run().ret, 140u);
@@ -85,6 +87,7 @@ TEST(Licm, LeavesVariantComputationAlone) {
 TEST(Licm, ZeroTripLoopKeepsSemantics) {
   // The invariant mul must not clobber state observable when the loop
   // body never runs.
+  analysis::AnalysisManager am;
   const char* src =
       "int g[1] = {5};\n"
       "int main() { int n = g[0] - 5;"  // 0 at runtime, opaque statically
@@ -93,7 +96,7 @@ TEST(Licm, ZeroTripLoopKeepsSemantics) {
       "  out(s); return s; }";
   ir::Module plain = prepared(src);
   ir::Module hoisted = prepared(src);
-  for (ir::Function& fn : hoisted.functions) opt::pass_licm(fn);
+  for (ir::Function& fn : hoisted.functions) opt::pass_licm(fn, am);
   ir::verify_module(hoisted);
   EXPECT_EQ(ir::Interpreter(plain).run().output,
             ir::Interpreter(hoisted).run().output);
@@ -101,6 +104,7 @@ TEST(Licm, ZeroTripLoopKeepsSemantics) {
 }
 
 TEST(Licm, DoesNotHoistLoadsOrStores) {
+  analysis::AnalysisManager am;
   ir::Module m = prepared(
       "int g[1] = {7};\n"
       "int main() { int s = 0;"
@@ -110,7 +114,7 @@ TEST(Licm, DoesNotHoistLoadsOrStores) {
   const int body = body_block(fn);
   ASSERT_GE(body, 0);
   const std::size_t loads = count_in_block(fn, body, IrOp::LoadW);
-  opt::pass_licm(fn);
+  opt::pass_licm(fn, am);
   EXPECT_EQ(count_in_block(fn, body, IrOp::LoadW), loads);
 }
 
@@ -118,6 +122,7 @@ TEST(Licm, EntryHeaderLoopGetsPreheader) {
   // A while loop at the very start of the function: the header is the
   // entry block (after CFG simplification), so the new preheader must
   // become the entry.
+  analysis::AnalysisManager am;
   const char* src =
       "int g[1] = {5};\n"
       "int f(int n) { int s = 0;"
@@ -125,7 +130,7 @@ TEST(Licm, EntryHeaderLoopGetsPreheader) {
       " return s; }";
   ir::Module m = prepared(src);
   ir::Function& fn = *m.find_function("f");
-  opt::pass_licm(fn);
+  opt::pass_licm(fn, am);
   ir::verify_module(m);
   ir::Interpreter interp(m);
   const std::uint32_t args[] = {4};

@@ -92,6 +92,11 @@ TEST(Mdes, FromTextRejectsMalformed) {
   EXPECT_THROW(
       Mdes::from_text("SECTION Operation {\n  frob(unit ALU; latency 1);\n}\n"),
       ConfigError);
+  // A Resource entry with no value is a diagnostic, not out_of_range.
+  EXPECT_THROW(Mdes::from_text("SECTION Resource {\n  issue();\n}\n"),
+               ConfigError);
+  EXPECT_THROW(Mdes::from_text("SECTION Resource {\n  ALU();\n}\n"),
+               ConfigError);
 }
 
 TEST(Mdes, ToTextMentionsResourcesAndOps) {

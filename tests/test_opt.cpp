@@ -42,34 +42,37 @@ std::size_t count_guarded(const ir::Function& fn) {
 }
 
 TEST(OptConstFold, FoldsConstantExpressions) {
+  analysis::AnalysisManager am;
   ir::Module m = compiled("int main() { return (2 + 3) * 4; }");
   ir::Function& f = *m.find_function("main");
-  opt::pass_constfold(f);
-  opt::pass_copy_propagate(f);
-  opt::pass_constfold(f);
+  opt::pass_constfold(f, am);
+  opt::pass_copy_propagate(f, am);
+  opt::pass_constfold(f, am);
   // After folding, no Mul remains.
   EXPECT_EQ(count_op(f, IrOp::Mul), 0u);
   EXPECT_EQ(ir::Interpreter(m).run().ret, 20u);
 }
 
 TEST(OptConstFold, StrengthReducesMulByPowerOfTwo) {
+  analysis::AnalysisManager am;
   ir::Module m = compiled("int f(int x){ return x * 8; }"
                           "int main(){ return f(3); }");
   ir::Function& f = *m.find_function("f");
-  opt::pass_constfold(f);
+  opt::pass_constfold(f, am);
   EXPECT_EQ(count_op(f, IrOp::Mul), 0u);
   EXPECT_GE(count_op(f, IrOp::Shl), 1u);
   EXPECT_EQ(ir::Interpreter(m).run().ret, 24u);
 }
 
 TEST(OptConstFold, AlgebraicIdentities) {
+  analysis::AnalysisManager am;
   ir::Module m = compiled(
       "int main(){ int x = 9; return (x + 0) * 1 + (x & -1) + (x ^ 0); }");
   ir::Function& f = *m.find_function("main");
   for (int i = 0; i < 3; ++i) {
-    opt::pass_copy_propagate(f);
-    opt::pass_constfold(f);
-    opt::pass_dce(f);
+    opt::pass_copy_propagate(f, am);
+    opt::pass_constfold(f, am);
+    opt::pass_dce(f, am);
   }
   EXPECT_EQ(count_op(f, IrOp::Mul), 0u);
   EXPECT_EQ(count_op(f, IrOp::And), 0u);
@@ -78,100 +81,110 @@ TEST(OptConstFold, AlgebraicIdentities) {
 }
 
 TEST(OptConstFold, FoldsConstantBranches) {
+  analysis::AnalysisManager am;
   ir::Module m = compiled("int main(){ if (1 < 2) return 7; return 8; }");
   ir::Function& f = *m.find_function("main");
-  opt::pass_constfold(f);   // folds the compare to 1
-  opt::pass_copy_propagate(f);
-  opt::pass_constfold(f);   // folds the condbr
+  opt::pass_constfold(f, am);   // folds the compare to 1
+  opt::pass_copy_propagate(f, am);
+  opt::pass_constfold(f, am);   // folds the condbr
   EXPECT_EQ(count_op(f, IrOp::CondBr), 0u);
   EXPECT_EQ(ir::Interpreter(m).run().ret, 7u);
 }
 
 TEST(OptCopyProp, EliminatesCopyChains) {
+  analysis::AnalysisManager am;
   ir::Module m = compiled(
       "int main(){ int a = 5; int b = a; int c = b; return c + c; }");
   ir::Function& f = *m.find_function("main");
-  opt::pass_copy_propagate(f);
-  opt::pass_constfold(f);
-  opt::pass_dce(f);
+  opt::pass_copy_propagate(f, am);
+  opt::pass_constfold(f, am);
+  opt::pass_dce(f, am);
   // The adds' operands should be immediates after propagation.
   EXPECT_EQ(ir::Interpreter(m).run().ret, 10u);
   EXPECT_LE(count_insts(f), 3u);
 }
 
 TEST(OptCse, ReusesRepeatedComputation) {
+  analysis::AnalysisManager am;
   ir::Module m = compiled(
       "int main(){ int a = 6; int b = 7;"
       " return (a * b) + (a * b) + (a * b); }");
   ir::Function& f = *m.find_function("main");
-  opt::pass_copy_propagate(f);
-  opt::pass_cse(f);
+  opt::pass_copy_propagate(f, am);
+  opt::pass_cse(f, am);
   EXPECT_EQ(count_op(f, IrOp::Mul), 1u);
   EXPECT_EQ(ir::Interpreter(m).run().ret, 126u);
 }
 
 TEST(OptCse, LoadCseInvalidatedByStore) {
+  analysis::AnalysisManager am;
   ir::Module m = compiled(
       "int g[2] = {5, 0};\n"
       "int main(){ int a = g[0]; g[0] = 9; int b = g[0]; return a + b; }");
   ir::Function& f = *m.find_function("main");
-  opt::pass_copy_propagate(f);
-  opt::pass_cse(f);
+  opt::pass_copy_propagate(f, am);
+  opt::pass_cse(f, am);
   // Both loads must survive (the store intervenes).
   EXPECT_EQ(count_op(f, IrOp::LoadW), 2u);
   EXPECT_EQ(ir::Interpreter(m).run().ret, 14u);
 }
 
 TEST(OptCse, GlobalAddrIsCsed) {
+  analysis::AnalysisManager am;
   ir::Module m = compiled(
       "int g[4];\n"
       "int main(){ g[0] = 1; g[1] = 2; g[2] = 3; return g[0]; }");
   ir::Function& f = *m.find_function("main");
-  opt::pass_cse(f);
+  opt::pass_cse(f, am);
   EXPECT_EQ(count_op(f, IrOp::GlobalAddr), 1u);
 }
 
 TEST(OptDce, RemovesDeadComputation) {
+  analysis::AnalysisManager am;
   ir::Module m = compiled(
       "int main(){ int unused = 3 * 4 + 5; int x = 2; return x; }");
   ir::Function& f = *m.find_function("main");
   const std::size_t before = count_insts(f);
-  opt::pass_dce(f);
+  opt::pass_dce(f, am);
   EXPECT_LT(count_insts(f), before);
   EXPECT_EQ(ir::Interpreter(m).run().ret, 2u);
 }
 
 TEST(OptDce, KeepsSideEffects) {
+  analysis::AnalysisManager am;
   ir::Module m = compiled(
       "int g;\n"
       "int main(){ g = 5; out(1); return 0; }");
   ir::Function& f = *m.find_function("main");
-  opt::pass_dce(f);
+  opt::pass_dce(f, am);
   EXPECT_EQ(count_op(f, IrOp::StoreW), 1u);
   EXPECT_EQ(count_op(f, IrOp::Out), 1u);
 }
 
 TEST(OptDce, LoopCarriedValuesStayLive) {
+  analysis::AnalysisManager am;
   ir::Module m = compiled(
       "int main(){ int s = 0;"
       " for (int i = 0; i < 5; i++) s += i; return s; }");
   ir::Function& f = *m.find_function("main");
-  opt::pass_dce(f);
+  opt::pass_dce(f, am);
   EXPECT_EQ(ir::Interpreter(m).run().ret, 10u);
 }
 
 TEST(OptSimplifyCfg, MergesStraightLineChains) {
+  analysis::AnalysisManager am;
   ir::Module m = compiled("int main(){ int a = 1; { int b = 2; a = b; } return a; }");
   ir::Function& f = *m.find_function("main");
-  opt::pass_simplify_cfg(f);
+  opt::pass_simplify_cfg(f, am);
   EXPECT_EQ(f.blocks.size(), 1u);
 }
 
 TEST(OptSimplifyCfg, RemovesUnreachableAfterConstantBranch) {
+  analysis::AnalysisManager am;
   ir::Module m = compiled("int main(){ if (0) { out(9); } return 1; }");
   ir::Function& f = *m.find_function("main");
-  opt::pass_constfold(f);
-  opt::pass_simplify_cfg(f);
+  opt::pass_constfold(f, am);
+  opt::pass_simplify_cfg(f, am);
   EXPECT_EQ(count_op(f, IrOp::Out), 0u);
   EXPECT_EQ(ir::Interpreter(m).run().ret, 1u);
 }
@@ -206,30 +219,33 @@ TEST(OptInline, InlinedFramesDoNotCollide) {
 }
 
 TEST(OptIfConvert, ConvertsTriangle) {
+  analysis::AnalysisManager am;
   ir::Module m = compiled(
       "int main(){ int x = 3; if (x > 2) x = 9; return x; }");
   ir::Function& f = *m.find_function("main");
-  const bool changed = opt::pass_if_convert(f, 10);
+  const bool changed = opt::pass_if_convert(f, am, 10);
   EXPECT_TRUE(changed);
   EXPECT_GE(count_guarded(f), 1u);
-  opt::pass_simplify_cfg(f);
+  opt::pass_simplify_cfg(f, am);
   EXPECT_EQ(count_op(f, IrOp::CondBr), 0u);
   EXPECT_EQ(ir::Interpreter(m).run().ret, 9u);
 }
 
 TEST(OptIfConvert, ConvertsDiamond) {
+  analysis::AnalysisManager am;
   ir::Module m = compiled(
       "int main(){ int x = 3; int y; if (x > 2) y = 1; else y = 2;"
       " return y; }");
   ir::Function& f = *m.find_function("main");
-  EXPECT_TRUE(opt::pass_if_convert(f, 10));
-  opt::pass_simplify_cfg(f);
+  EXPECT_TRUE(opt::pass_if_convert(f, am, 10));
+  opt::pass_simplify_cfg(f, am);
   EXPECT_EQ(count_op(f, IrOp::CondBr), 0u);
   EXPECT_EQ(ir::Interpreter(m).run().ret, 1u);
 }
 
 TEST(OptIfConvert, GuardedStoreSemantics) {
   // Dijkstra's relax step: a store under a condition.
+  analysis::AnalysisManager am;
   ir::Module m = compiled(
       "int d[2] = {100, 5};\n"
       "int main(){ int alt = 7;"
@@ -237,18 +253,19 @@ TEST(OptIfConvert, GuardedStoreSemantics) {
       " if (alt < d[1]) d[1] = alt;"
       " return d[0] * 100 + d[1]; }");
   for (ir::Function& f : m.functions) {
-    opt::pass_if_convert(f, 10);
-    opt::pass_simplify_cfg(f);
+    opt::pass_if_convert(f, am, 10);
+    opt::pass_simplify_cfg(f, am);
   }
   EXPECT_EQ(ir::Interpreter(m).run().ret, 705u);
 }
 
 TEST(OptIfConvert, SkipsCallsAndBigArms) {
+  analysis::AnalysisManager am;
   ir::Module m = compiled(
       "int g() { return 1; }\n"
       "int main(){ int x = 0; if (x) x = g(); return x; }");
   ir::Function& f = *m.find_function("main");
-  EXPECT_FALSE(opt::pass_if_convert(f, 10));
+  EXPECT_FALSE(opt::pass_if_convert(f, am, 10));
 }
 
 TEST(OptPipeline, FullPipelinePreservesOutput) {

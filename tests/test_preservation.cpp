@@ -1,18 +1,17 @@
-// Preservation soundness for the optimiser's analysis manager.
-//
-// The incremental pipeline is only correct if two contracts hold:
+// Preservation soundness for the optimiser's analysis manager, and the
+// pins on what the pass driver emits.
 //
 //  1. PreservedAnalyses claims are sound — an analysis a pass kept
 //     cached equals a fresh recomputation (checked differentially here
 //     for every pass over the fuzz corpus, and continuously by the
-//     manager's verify mode during full pipeline runs);
-//  2. sparse scheduling is invisible — optimize() with incremental
-//     seeds/skips produces byte-identical printed IR to the dense
-//     reference mode, pinned long-term by tests/golden/
+//     manager's verify mode during full pipeline runs).
+//  2. The optimised IR is pinned byte-for-byte by tests/golden/
 //     optimize_digests.txt (regenerate by rerunning the digest test
-//     with CEPIC_REGEN_GOLDEN=1 in the environment).
+//     with CEPIC_REGEN_GOLDEN=1 in the environment); the driver's
+//     version skip must be invisible there, and must actually fire.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -24,6 +23,7 @@
 #include "frontend/irgen.hpp"
 #include "ir/ir.hpp"
 #include "ir/verify.hpp"
+#include "obs/obs.hpp"
 #include "opt/opt.hpp"
 #include "support/bits.hpp"
 #include "support/error.hpp"
@@ -111,35 +111,18 @@ TEST(OptimizeGolden, DigestsMatchCommittedCorpus) {
          "is intentional, update tests/golden/optimize_digests.txt";
 }
 
-// ----------------------------------------- sparse == dense, bytewise
+// ------------------------------------------------ version skip fires
 
-TEST(SparseScheduling, MatchesDenseReferenceBytewise) {
-  const auto check = [](const ir::Module& m, opt::OptOptions opts,
-                        const std::string& tag) {
-    ir::Module sparse_m = m;
-    ir::Module dense_m = m;
-    opts.incremental = true;
-    opt::optimize(sparse_m, opts);
-    opts.incremental = false;
-    opt::optimize(dense_m, opts);
-    EXPECT_EQ(ir::to_string(sparse_m), ir::to_string(dense_m))
-        << "sparse/dense divergence on " << tag;
-  };
-  for (const workloads::Workload& w : corpus_workloads()) {
-    const ir::Module m = minic::compile_to_ir(w.minic_source);
-    check(m, {}, w.name);
-    opt::OptOptions licm;
-    licm.licm = true;
-    check(m, licm, w.name + " (licm)");
-  }
-  for (auto& [seed, m] : corpus_fuzz(300)) {
-    try {
-      check(m, {}, "fuzz seed " + std::to_string(seed));
-    } catch (const InternalError&) {
-      // Some fuzz modules trip the optimiser's verifier in both modes;
-      // equivalence over them is covered by the digest corpus above.
-    }
-  }
+TEST(VersionSkip, OptimizingDctSkipsUnchangedPassInvocations) {
+  // The digests above cannot tell whether the driver skipped a pass
+  // that last reported "no change" at the function's current version;
+  // the counter can.
+  ir::Module m = minic::compile_to_ir(workloads::make_dct(16).minic_source);
+  std::atomic<std::uint64_t>& skips =
+      obs::Registry::instance().counter("opt.pass_skips");
+  const std::uint64_t before = skips.load();
+  opt::optimize(m);
+  EXPECT_GT(skips.load(), before);
 }
 
 // ----------------------- differential verify through full pipeline runs
@@ -177,23 +160,17 @@ TEST(PreservationSoundness, PerPassCachedAnalysesMatchFresh) {
   const auto check_fn = [](ir::Function& fn, const char* tag) {
     struct NamedPass {
       const char* name;
-      bool (*run)(ir::Function&, opt::PassContext&);
+      bool (*run)(ir::Function&, AnalysisManager&);
     };
     const NamedPass passes[] = {
-        {"constfold", [](ir::Function& f, opt::PassContext& c) {
-           return opt::pass_constfold(f, c);
-         }},
-        {"copy_propagate", [](ir::Function& f, opt::PassContext& c) {
-           return opt::pass_copy_propagate(f, c);
-         }},
-        {"cse", [](ir::Function& f, opt::PassContext& c) {
-           return opt::pass_cse(f, c);
-         }},
-        {"dce", [](ir::Function& f, opt::PassContext& c) {
-           return opt::pass_dce(f, c);
-         }},
-        {"simplify_cfg", [](ir::Function& f, opt::PassContext& c) {
-           return opt::pass_simplify_cfg(f, c);
+        {"constfold", opt::pass_constfold},
+        {"copy_propagate", opt::pass_copy_propagate},
+        {"cse", opt::pass_cse},
+        {"dce", opt::pass_dce},
+        {"simplify_cfg", opt::pass_simplify_cfg},
+        {"licm", opt::pass_licm},
+        {"if_convert", [](ir::Function& f, AnalysisManager& am) {
+           return opt::pass_if_convert(f, am, 10);
          }},
     };
     for (const NamedPass& pass : passes) {
@@ -206,8 +183,7 @@ TEST(PreservationSoundness, PerPassCachedAnalysesMatchFresh) {
       am.liveness(fn);
       am.reaching_defs(fn);
       am.available_copies(fn);
-      opt::PassContext ctx(am);
-      pass.run(fn, ctx);
+      pass.run(fn, am);
       const analysis::Cfg fresh_cfg = analysis::Cfg::build(fn);
       EXPECT_EQ(am.cfg(fn), fresh_cfg) << pass.name << " on " << tag;
       EXPECT_EQ(am.dominators(fn), compute_dominators(fn, fresh_cfg))
