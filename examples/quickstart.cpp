@@ -1,5 +1,6 @@
-// Quickstart: compile a MiniC program for a customised EPIC processor,
-// inspect the generated assembly, run it on the cycle-level simulator,
+// Quickstart: compile a MiniC program for a customised EPIC processor
+// with a pipeline::Service, print the generated assembly
+// (Service::compile_asm), run the Program on the cycle-level simulator,
 // and read the results — the whole tool flow of the paper in ~40 lines.
 //
 //   $ ./build/examples/quickstart
@@ -36,19 +37,23 @@ int main() {
   config.num_alus = 2;
   config.issue_width = 2;
 
-  // Compile: MiniC -> IR -> optimiser -> EPIC backend -> assembler.
-  const pipeline::CompileArtifacts compiled =
-      pipeline::compile_once(source, config);
+  // Compile: MiniC -> IR -> optimiser -> EPIC backend -> assembler. The
+  // Service shares the optimised IR between the two requests.
+  pipeline::Service service;
+  const Program program = service.compile_program(source, config);
 
+  // The same backend output printed as assembly (what `cepic-cc
+  // --emit-asm` writes).
+  const std::string text = service.compile_asm(source, config);
   std::cout << "--- generated assembly (first 24 lines) ---\n";
   int shown = 0;
-  for (std::string_view line : split(compiled.asm_text, '\n')) {
+  for (std::string_view line : split(text, '\n')) {
     if (shown++ >= 24) break;
     std::cout << line << "\n";
   }
 
   // Run on the cycle-level simulator.
-  EpicSimulator sim(compiled.program);
+  EpicSimulator sim(program);
   sim.run();
 
   std::cout << "\n--- execution ---\n";

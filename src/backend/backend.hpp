@@ -17,7 +17,8 @@
 namespace cepic::backend {
 
 struct BackendOptions {
-  /// Initial stack pointer (must match the simulator's memory size).
+  /// Initial stack pointer (must match the simulator's memory size;
+  /// pipeline::Service sets it from SimOptions::mem_size).
   std::uint32_t stack_top = std::uint32_t{1} << 22;
   /// Schedule greedily for ILP; when false each op gets its own bundle
   /// (ablation baseline for the scheduler's contribution).
@@ -33,16 +34,12 @@ struct BackendOptions {
 /// configuration: the data section, the `__start` stub and every
 /// function's scheduled MultiOps, with branch targets still `@label`.
 /// Throws Error/CompileError when the module needs operations the
-/// customisation lacks (e.g. DIV on a divider-less ALU) or exceeds ABI
-/// limits (more than 8 arguments).
+/// customisation lacks (e.g. DIV on a divider-less ALU), exceeds ABI
+/// limits (more than 8 arguments) or has globals that do not fit below
+/// `options.stack_top`.
 asmtool::Listing compile_ir_to_listing(const ir::Module& module,
                                        const ProcessorConfig& config,
                                        const BackendOptions& options = {});
-
-/// asmtool::to_text of compile_ir_to_listing: CEPIC assembly text.
-std::string compile_ir_to_asm(const ir::Module& module,
-                              const ProcessorConfig& config,
-                              const BackendOptions& options = {});
 
 // ---- pipeline stages, exposed for unit tests ----
 
@@ -67,8 +64,14 @@ ScheduledFunc schedule_function(const MFunc& fn, const Mdes& mdes,
                                 bool schedule = true,
                                 unsigned override_port_budget = 0);
 
-/// Render scheduled functions + data section + entry stub as assembly
-/// (asmtool::to_text of the Listing compile_ir_to_listing builds).
+/// Lay out scheduled functions + data section + `__start` stub as the
+/// Listing compile_ir_to_listing returns (its last stage, "emit").
+asmtool::Listing emit_module_listing(std::vector<ScheduledFunc> funcs,
+                                     const ir::Module& module,
+                                     const BackendOptions& options);
+
+/// asmtool::to_text of emit_module_listing: the same module as
+/// assembly text.
 std::string emit_module_asm(const std::vector<ScheduledFunc>& funcs,
                             const ir::Module& module,
                             const ProcessorConfig& config,

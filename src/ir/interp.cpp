@@ -51,7 +51,7 @@ Op cmp_op_of(IrOp op) {
 Interpreter::Interpreter(const Module& module, InterpOptions options)
     : module_(module),
       options_(options),
-      layout_(layout_globals(module)),
+      layout_(layout_globals(module, options.mem_size)),
       mem_(options.mem_size) {
   mem_.load_image(kDataBase, layout_.image);
   sp_ = static_cast<std::uint32_t>(mem_.size());

@@ -1,15 +1,15 @@
-// Content-addressed store of compilation artifacts at five
+// Content-addressed store of compilation artifacts at four
 // granularities:
 //
 //   kIr       the optimised IR Module, CEPX-encoded (keyed by source +
 //             optimiser options only — shared by *every* processor
 //             configuration, and loaded back without reparsing)
-//   kAsm      the backend's assembly text (keyed additionally by the
-//             codegen-relevant slice of the ProcessorConfig and the
-//             backend options)
-//   kProgram  the assembled Program, CEPX-encoded (same key material
-//             as kAsm; stored with the codegen slice embedded so one
-//             blob serves every simulation-only variant of the config)
+//   kProgram  the assembled Program, CEPX-encoded — the one per-config
+//             compile product (keyed additionally by the codegen-
+//             relevant slice of the ProcessorConfig and the backend
+//             options; stored with the codegen slice embedded so one
+//             blob serves every simulation-only variant of the config).
+//             Assembly text is never stored: it is printed on demand.
 //   kLint     the mcheck verification report for the Program with the
 //             same key (first line "<errors> <warnings>", then the
 //             rendered report) — sound because mcheck reads only the
@@ -48,13 +48,12 @@ namespace cepic::pipeline {
 
 enum class Granularity {
   kIr = 0,
-  kAsm = 1,
-  kProgram = 2,
-  kLint = 3,
-  kIrLint = 4,
+  kProgram = 1,
+  kLint = 2,
+  kIrLint = 3,
 };
 
-inline constexpr int kNumGranularities = 5;
+inline constexpr int kNumGranularities = 4;
 
 const char* to_string(Granularity g);
 
@@ -81,6 +80,9 @@ struct GranularityStats {
 
 struct StoreStats {
   GranularityStats ir;
+  /// Always zero: no granularity stores assembly text any more. Kept
+  /// only because the end-to-end benchmark still sums it; ROADMAP item 2
+  /// deletes it.
   GranularityStats assembly;
   GranularityStats program;
   GranularityStats lint;
@@ -105,7 +107,7 @@ public:
   /// Error if `root` holds an old-layout or foreign store.
   explicit Store(const std::string& root, std::string version_tag = {});
 
-  // --- raw blob interface (kAsm / kLint text artifacts) ---
+  // --- raw blob interface (kLint / kIrLint text artifacts) ---
 
   /// Look up a blob. Memory first, then disk (a disk hit is promoted
   /// into memory). Returns false on a miss.

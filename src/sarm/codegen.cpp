@@ -640,7 +640,7 @@ void allocate_registers(CFunc& fn) {
 SProgram compile_ir_to_sarm(const ir::Module& module,
                             const SarmOptions& options) {
   ir::verify_module(module, /*require_main=*/true);
-  const ir::DataLayout layout = ir::layout_globals(module);
+  const ir::DataLayout layout = ir::layout_globals(module, options.stack_top);
 
   std::vector<CFunc> funcs;
   funcs.reserve(module.functions.size());

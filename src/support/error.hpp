@@ -25,12 +25,15 @@ public:
   using Error::Error;
 };
 
-/// Error in a MiniC source program (lex/parse/semantic), with location.
+/// Error in a MiniC source program (lex/parse/semantic), with location;
+/// line 0 means the error has none (e.g. a data layout that does not
+/// fit in memory).
 class CompileError : public Error {
 public:
   CompileError(const std::string& what, int line, int col)
-      : Error("line " + std::to_string(line) + ":" + std::to_string(col) +
-              ": " + what),
+      : Error(line == 0 ? what
+                        : "line " + std::to_string(line) + ":" +
+                              std::to_string(col) + ": " + what),
         line_(line), col_(col) {}
 
   int line() const { return line_; }

@@ -33,7 +33,7 @@ ir::InterpResult golden(const std::string& src) {
 /// scheduler's architectural claims are checked by an independent
 /// oracle, not just by the simulator happening to agree.
 void expect_lint_clean(const std::string& src, const ProcessorConfig& cfg) {
-  const Program program = pipeline::compile_once(src, cfg).program;
+  const Program program = pipeline::compile_once(src, cfg);
   const mcheck::Report rep =
       mcheck::check_program(program, mcheck::CheckOptions{.werror = true});
   EXPECT_TRUE(rep.clean()) << "on " << cfg.summary() << "\n" << rep.to_text();

@@ -168,7 +168,9 @@ TEST(DisasmGolden, DigestsMatchCommittedCorpus) {
             backend::BackendOptions options;
             options.schedule = schedule;
             const Program p = asmtool::assemble(
-                backend::compile_ir_to_asm(m, cfg, options), cfg);
+                asmtool::to_text(
+                    backend::compile_ir_to_listing(m, cfg, options)),
+                cfg);
             fresh << "workload " << w.name << (schedule ? "" : " unscheduled")
                   << " a" << alus << " i" << issue << " f" << fwd << " "
                   << digest(asmtool::disassemble(p)) << "\n";

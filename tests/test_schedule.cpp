@@ -1,6 +1,6 @@
 // Pins the list scheduler's output bytes and its timing edge cases.
 //
-// ScheduleGolden hashes the emitted assembly of compile_ir_to_asm over
+// ScheduleGolden hashes the backend's Listing, printed as assembly, over
 // the workload corpus (default and LICM pipelines) × a codegen grid
 // (ALUs 1-4 × issue 1-4 × ports 4/8/16 × forwarding on/off, plus a
 // load-latency sweep), seeded straight-line programs (unoptimised,
@@ -9,7 +9,7 @@
 // by rerunning the test with CEPIC_REGEN_GOLDEN=1 in the environment.
 // Every corpus entry also checks the direct path (asmtool::encode of
 // compile_ir_to_listing) against the text path (asmtool::assemble of
-// compile_ir_to_asm).
+// the printed Listing).
 //
 // The Schedule.* cases each pin one rule the dependence graph or the
 // packer must get exactly right, on a hand-built block.
@@ -54,13 +54,13 @@ std::optional<std::vector<std::uint8_t>> program_bytes(const Build& build) {
   }
 }
 
-/// Digest of compile_ir_to_asm's text. Also checks that encoding the
+/// Digest of the printed Listing. Also checks that encoding the
 /// backend's Listing directly gives the Program that assembling the text
 /// gives (or that both throw).
 std::string asm_digest(const ir::Module& m, const ProcessorConfig& cfg) {
   std::optional<std::string> text;
   try {
-    text = compile_ir_to_asm(m, cfg);
+    text = asmtool::to_text(compile_ir_to_listing(m, cfg));
   } catch (const std::exception&) {
   }
   const auto direct = program_bytes(

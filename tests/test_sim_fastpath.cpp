@@ -133,7 +133,7 @@ TEST(SimFastPath, WorkloadAcrossCodegenAndSimGrid) {
             SCOPED_TRACE(cat("alus=", alus, " fwd=", forwarding,
                              " ports=", ports, " stages=", stages,
                              " contention=", contention));
-            Program program = compiled.program;
+            Program program = compiled;
             program.config.pipeline_stages = stages;
             program.config.unified_memory_contention = contention;
             expect_identical(program, {}, SimOptions{});
@@ -161,7 +161,7 @@ TEST(SimFastPath, MoreWorkloadsOnTightAndDefaultConfigs) {
     for (const ProcessorConfig& cfg : cfgs) {
       SCOPED_TRACE(cat(w.name, " on ", cfg.summary()));
       const auto compiled = pipeline::compile_once(w.minic_source, cfg);
-      expect_identical(compiled.program, {}, SimOptions{});
+      expect_identical(compiled, {}, SimOptions{});
     }
   }
 }
@@ -173,7 +173,7 @@ TEST(SimFastPath, TraceOutputIsIdentical) {
   SimOptions options;
   options.collect_trace = true;
   options.trace_limit = 512;
-  expect_identical(compiled.program, {}, options);
+  expect_identical(compiled, {}, options);
 }
 
 // ---- the fuzz corpus -------------------------------------------------

@@ -4,7 +4,12 @@
 // stages.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "asmtool/assembler.hpp"
+#include "frontend/irgen.hpp"
+#include "ir/interp.hpp"
 #include "pipeline/pipeline.hpp"
 #include "sarm/driver.hpp"
 #include "serial/serial.hpp"
@@ -19,14 +24,16 @@ const char* kProgram =
 
 TEST(SingleShot, CompileProducesConsistentArtifacts) {
   const ProcessorConfig cfg;
-  const CompileArtifacts r = compile_once(kProgram, cfg);
-  // The assembly must reassemble into the identical program.
-  const Program again = asmtool::assemble(r.asm_text, cfg);
-  EXPECT_EQ(again.encode_code(), r.program.encode_code());
-  EXPECT_EQ(r.program.config, cfg);
-  EXPECT_NE(r.asm_text.find("fn_main:"), std::string::npos);
+  const Program program = compile_once(kProgram, cfg);
+  EXPECT_EQ(program.config, cfg);
+  // The assembly a Service prints must reassemble into the same program.
+  Service service;
+  const std::string text = service.compile_asm(kProgram, cfg);
+  const Program again = asmtool::assemble(text, cfg);
+  EXPECT_EQ(again.encode_code(), program.encode_code());
+  EXPECT_NE(text.find("fn_main:"), std::string::npos);
   // The optimised module is exposed for inspection.
-  EXPECT_NE(r.module.find_function("main"), nullptr);
+  EXPECT_NE(service.compile_module(kProgram).find_function("main"), nullptr);
 }
 
 TEST(SingleShot, RunReturnsReadySimulator) {
@@ -70,6 +77,34 @@ TEST(SingleShot, CompileErrorsPropagate) {
   EXPECT_THROW(compile_once("int main() { return x; }", ProcessorConfig{}),
                CompileError);
   EXPECT_THROW(sarm::compile_minic_to_sarm("int main( { }"), CompileError);
+
+  // Globals that do not fit in memory: one too big to allocate, and one
+  // whose byte count wraps 32 bits to 0 (which would put `b` at `a`'s
+  // address). The EPIC and SARM back ends and the IR interpreter all
+  // reject them, naming the first global that does not fit.
+  const std::pair<const char*, const char*> too_big[] = {
+      {"int g[1000000000]; int main() { return g[5]; }", "global `g`"},
+      {"int a[1073741824]; int b[2]; int main() { b[1] = 7; return b[1]; }",
+       "global `a`"}};
+  for (const auto& input : too_big) {
+    const char* src = input.first;
+    const char* name = input.second;
+    SCOPED_TRACE(src);
+    const auto expect_rejected = [name](const auto& compile) {
+      try {
+        compile();
+        ADD_FAILURE() << "accepted";
+      } catch (const CompileError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(name), std::string::npos) << what;
+        EXPECT_NE(what.find("does not fit"), std::string::npos) << what;
+      }
+    };
+    expect_rejected([&] { (void)compile_once(src, ProcessorConfig{}); });
+    expect_rejected([&] { (void)sarm::compile_minic_to_sarm(src); });
+    const ir::Module module = minic::compile_to_ir(src);
+    expect_rejected([&] { ir::Interpreter interp(module); });
+  }
 }
 
 TEST(SingleShot, ConfigWithoutEnoughRegistersIsRejected) {
@@ -81,11 +116,11 @@ TEST(SingleShot, ConfigWithoutEnoughRegistersIsRejected) {
 TEST(SingleShot, CustomOpsConfigIsCarriedIntoTheBinary) {
   ProcessorConfig cfg;
   cfg.custom_ops = {"rotr"};
-  const CompileArtifacts r = compile_once(kProgram, cfg);
-  EXPECT_EQ(r.program.config.custom_ops, cfg.custom_ops);
+  const Program program = compile_once(kProgram, cfg);
+  EXPECT_EQ(program.config.custom_ops, cfg.custom_ops);
   // A simulator built from the serialised binary picks the ops back up.
   const Program loaded =
-      serial::decode_program(serial::encode_program(r.program));
+      serial::decode_program(serial::encode_program(program));
   EXPECT_EQ(loaded.config.custom_ops, cfg.custom_ops);
 }
 

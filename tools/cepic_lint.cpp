@@ -57,7 +57,7 @@
 
 namespace {
 
-enum class InputKind { kMinic, kAsm, kProgram };
+enum class InputKind { kMinic, kAssembly, kProgram };
 
 struct Input {
   std::string name;
@@ -73,7 +73,7 @@ InputKind classify(const std::string& path,
   if (cepic::serial::looks_like_cepx(bytes)) return InputKind::kProgram;
   const auto dot = path.rfind('.');
   const std::string ext = dot == std::string::npos ? "" : path.substr(dot);
-  if (ext == ".s" || ext == ".asm") return InputKind::kAsm;
+  if (ext == ".s" || ext == ".asm") return InputKind::kAssembly;
   return InputKind::kMinic;
 }
 

@@ -373,7 +373,6 @@ inline void print_cache_stats(const char* tool,
             << " sim-dedup=" << get("pipeline.sim_dedup_hits")
             << " lint=" << get("pipeline.lint_runs") << "\n";
   granularity("ir");
-  granularity("asm");
   granularity("program");
   granularity("lint");
 }
