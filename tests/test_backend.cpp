@@ -25,7 +25,8 @@ Lowered lower(std::string_view src, const char* fn_name,
   out.module = minic::compile_to_ir(src);
   out.config = cfg;
   const Mdes mdes(cfg);
-  const ir::DataLayout layout = ir::layout_globals(out.module);
+  const ir::DataLayout layout =
+      ir::layout_globals(out.module, BackendOptions{}.stack_top);
   out.mfunc = lower_function(*out.module.find_function(fn_name), out.module,
                              layout, mdes, cfg);
   return out;
@@ -135,8 +136,9 @@ TEST(Lowering, GuardedStoreKeepsGuard) {
   }
   const ProcessorConfig cfg;
   const Mdes mdes(cfg);
-  const MFunc mf = lower_function(*m.find_function("f"), m,
-                                  ir::layout_globals(m), mdes, cfg);
+  const MFunc mf = lower_function(
+      *m.find_function("f"), m,
+      ir::layout_globals(m, BackendOptions{}.stack_top), mdes, cfg);
   bool guarded_store = false;
   for (const MBlock& b : mf.blocks) {
     for (const MInst& mi : b.insts) {

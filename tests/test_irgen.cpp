@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "frontend/irgen.hpp"
+#include "ir/interp.hpp"
 #include "ir/verify.hpp"
 #include "core/program.hpp"
 #include "support/error.hpp"
@@ -35,7 +36,8 @@ TEST(IrGen, GlobalLayoutAndInitialisers) {
   EXPECT_EQ(m.globals[3].size_words, 5u);
   EXPECT_TRUE(m.globals[3].init_words.empty());
 
-  const ir::DataLayout layout = ir::layout_globals(m);
+  const ir::DataLayout layout =
+      ir::layout_globals(m, ir::InterpOptions{}.mem_size);
   EXPECT_EQ(layout.global_addr[0], cepic::kDataBase);
   EXPECT_EQ(layout.global_addr[1], cepic::kDataBase + 4);
   EXPECT_EQ(layout.global_addr[2], cepic::kDataBase + 16);
