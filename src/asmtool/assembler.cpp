@@ -242,7 +242,8 @@ private:
 
 Listing parse(std::string_view source) { return Parser().run(source); }
 
-Program encode(const Listing& listing, const ProcessorConfig& config) {
+Program encode(const Listing& listing, const ProcessorConfig& config,
+               std::uint64_t mem_top) {
   obs::Span span("encode", "asm");
   span.arg("bundles", static_cast<std::uint64_t>(listing.bundles.size()));
   config.validate();
@@ -257,9 +258,16 @@ Program encode(const Listing& listing, const ProcessorConfig& config) {
     if (g.init.size() > g.size_words) {
       throw AsmError("too many initialiser words", g.line);
     }
-    if (addr + std::uint64_t{g.size_words} * 4 > std::uint64_t{1} << 32) {
+    const std::uint64_t end = addr + std::uint64_t{g.size_words} * 4;
+    if (end > std::uint64_t{1} << 32) {
       throw AsmError(cat("global `", g.name,
                          "` does not fit the 32-bit data address space"),
+                     g.line);
+    }
+    if (end > mem_top) {
+      throw AsmError(cat("global `", g.name, "` (", g.size_words,
+                         " words) does not fit in the ", mem_top,
+                         "-byte memory"),
                      g.line);
     }
     if (!p.data_symbols.emplace(g.name, addr).second) {
@@ -270,7 +278,7 @@ Program encode(const Listing& listing, const ProcessorConfig& config) {
         p.data.push_back(static_cast<std::uint8_t>(w >> shift));
       }
     }
-    p.data.resize(addr - kDataBase + std::uint64_t{g.size_words} * 4);
+    p.data.resize(end - kDataBase);
   }
 
   const std::size_t bundles = listing.bundles.size();
@@ -391,10 +399,11 @@ std::string to_text(const Listing& listing) {
   return out;
 }
 
-Program assemble(std::string_view source, const ProcessorConfig& config) {
+Program assemble(std::string_view source, const ProcessorConfig& config,
+                 std::uint64_t mem_top) {
   obs::Span span("assemble", "asm");
   span.arg("source_bytes", static_cast<std::uint64_t>(source.size()));
-  return encode(parse(source), config);
+  return encode(parse(source), config, mem_top);
 }
 
 std::string disassemble(const Program& program) {

@@ -70,16 +70,20 @@ Listing parse(std::string_view source);
 /// Pack a Listing for a configuration: lay out the data, check issue
 /// width and functional units, pad with NOPs, resolve symbols, validate
 /// each instruction and branch target. Throws AsmError with the line of
-/// the offending op, label or global.
-Program encode(const Listing& listing, const ProcessorConfig& config);
+/// the offending op, label or global; a global that does not fit below
+/// `mem_top` (the simulated memory size, as in ir::layout_globals) is
+/// rejected before its part of the data image is allocated.
+Program encode(const Listing& listing, const ProcessorConfig& config,
+               std::uint64_t mem_top = std::uint64_t{1} << 22);
 
 /// Print a Listing as assembly that parse() reads back.
 std::string to_text(const Listing& listing);
 
-/// encode(parse(source), config). Retargeting takes only another
-/// configuration, e.g. ProcessorConfig::from_text of a configuration
-/// file ("configuration header file" in the paper).
-Program assemble(std::string_view source, const ProcessorConfig& config);
+/// encode(parse(source), config, mem_top). Retargeting takes only
+/// another configuration, e.g. ProcessorConfig::from_text of a
+/// configuration file ("configuration header file" in the paper).
+Program assemble(std::string_view source, const ProcessorConfig& config,
+                 std::uint64_t mem_top = std::uint64_t{1} << 22);
 
 /// Print a Program's Listing: labels from the symbol tables, branch
 /// targets as numbers, NOP slots dropped (an all-NOP bundle prints as

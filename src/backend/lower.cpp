@@ -3,8 +3,7 @@
 // predicate registers (CMPP dual-destination when a complement is
 // needed), materialises 32-bit constants, and builds the ABI prologue /
 // epilogue / call sequences.
-#include <map>
-#include <set>
+#include <vector>
 
 #include "backend/backend.hpp"
 #include "support/bits.hpp"
@@ -65,41 +64,44 @@ Op load_op_of(IrOp op) {
   CEPIC_CHECK(false, "not a load IrOp");
 }
 
-/// Usage analysis deciding which IR vregs become predicate registers.
+/// Usage analysis deciding which IR vregs become predicate registers,
+/// as flags indexed by vreg (ir::verify_module bounds every vreg below
+/// Function::next_vreg).
 struct PredInfo {
-  std::set<VReg> pred_only;       ///< all defs are compares, no value uses
-  std::set<VReg> needs_negation;  ///< some guard uses it negated
+  std::vector<char> pred_only;       ///< all defs are compares, no value uses
+  std::vector<char> needs_negation;  ///< some guard uses it negated
 };
 
 PredInfo analyse_preds(const ir::Function& fn) {
-  std::map<VReg, bool> all_defs_cmp;  // vreg -> every def is a compare
-  std::set<VReg> value_used;
-  std::set<VReg> pred_used;
+  enum : char { kNoDef, kCmpDefs, kOtherDef };
+  const std::size_t n = fn.next_vreg;
+  std::vector<char> defs(n, kNoDef);
+  std::vector<char> value_used(n, 0);
   PredInfo info;
+  info.needs_negation.assign(n, 0);
 
   for (const ir::BasicBlock& block : fn.blocks) {
     for (const IrInst& inst : block.insts) {
       if (ir::has_dst(inst)) {
-        const bool is_cmp = ir::is_cmp(inst.op);
-        auto [it, fresh] = all_defs_cmp.emplace(inst.dst, is_cmp);
-        if (!fresh) it->second = it->second && is_cmp;
+        char& d = defs[inst.dst];
+        if (!ir::is_cmp(inst.op)) {
+          d = kOtherDef;
+        } else if (d == kNoDef) {
+          d = kCmpDefs;
+        }
       }
-      if (inst.guard != ir::kNoVReg) {
-        pred_used.insert(inst.guard);
-        if (inst.guard_negate) info.needs_negation.insert(inst.guard);
+      if (inst.guard != ir::kNoVReg && inst.guard_negate) {
+        info.needs_negation[inst.guard] = 1;
       }
       if (inst.op == IrOp::CondBr) {
-        if (inst.a.is_reg()) {
-          pred_used.insert(inst.a.reg);
-          // Branch lowering may fall through on true and branch on the
-          // complement, so conservatively allocate both polarities.
-          info.needs_negation.insert(inst.a.reg);
-        }
+        // Branch lowering may fall through on true and branch on the
+        // complement, so conservatively allocate both polarities.
+        if (inst.a.is_reg()) info.needs_negation[inst.a.reg] = 1;
         continue;
       }
       // Every other operand read is a value use.
       const auto note = [&](const ir::Value& v) {
-        if (v.is_reg()) value_used.insert(v.reg);
+        if (v.is_reg()) value_used[v.reg] = 1;
       };
       switch (inst.op) {
         case IrOp::StoreW:
@@ -123,12 +125,11 @@ PredInfo analyse_preds(const ir::Function& fn) {
     }
   }
   // Parameters are defined by the caller, not by compares.
-  for (VReg p : fn.params) all_defs_cmp[p] = false;
+  for (VReg p : fn.params) defs[p] = kOtherDef;
 
-  for (const auto& [vreg, cmp_only] : all_defs_cmp) {
-    if (cmp_only && value_used.count(vreg) == 0) {
-      info.pred_only.insert(vreg);
-    }
+  info.pred_only.resize(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    info.pred_only[v] = defs[v] == kCmpDefs && value_used[v] == 0;
   }
   return info;
 }
@@ -144,7 +145,8 @@ public:
         mdes_(mdes),
         config_(config),
         fmt_(config.format()),
-        preds_(analyse_preds(fn)) {}
+        preds_(analyse_preds(fn)),
+        cmp_preds_(fn.next_vreg) {}
 
   MFunc run() {
     if (fn_.params.size() > CallConv::kMaxArgs) {
@@ -156,10 +158,12 @@ public:
     out_.frame_bytes = fn_.frame_bytes;
     next_vgpr_ = fn_.next_vreg;  // IR vregs map identically onto vGPRs
 
+    out_.blocks.resize(fn_.blocks.size());
     for (std::size_t bi = 0; bi < fn_.blocks.size(); ++bi) {
-      MBlock block;
+      MBlock& block = out_.blocks[bi];
       block.label = bi == 0 ? cat("fn_", fn_.name) : block_label(bi);
-      out_.blocks.push_back(std::move(block));
+      // Most IR instructions lower to one op; the ABI adds a few.
+      block.insts.reserve(fn_.blocks[bi].insts.size() + 8);
     }
 
     for (std::size_t bi = 0; bi < fn_.blocks.size(); ++bi) {
@@ -196,12 +200,8 @@ private:
 
   void push(Instruction inst, std::string target = {}, bool barrier = false,
             int frame_sign = 0) {
-    MInst m;
-    m.inst = inst;
-    m.target = std::move(target);
-    m.is_barrier = barrier;
-    m.frame_sign = frame_sign;
-    out_.blocks[cur_].insts.push_back(std::move(m));
+    out_.blocks[cur_].insts.push_back(
+        {inst, std::move(target), barrier, frame_sign});
   }
 
   std::uint32_t fresh_gpr() { return virt_reg(next_vgpr_++); }
@@ -274,26 +274,24 @@ private:
   // ---- predicates ----
 
   struct CmpPreds {
-    std::uint32_t on_true = 0;
+    std::uint32_t on_true = 0;   ///< 0 until first asked for
     std::uint32_t on_false = 0;  ///< 0 (p0 sink) if never needed
   };
 
   CmpPreds& preds_of(VReg cmp_vreg) {
-    auto [it, fresh] = cmp_preds_.try_emplace(cmp_vreg);
-    if (fresh) {
-      it->second.on_true = fresh_pred();
-      if (preds_.needs_negation.count(cmp_vreg) != 0) {
-        it->second.on_false = fresh_pred();
-      }
+    CmpPreds& cp = cmp_preds_[cmp_vreg];
+    if (cp.on_true == 0) {
+      cp.on_true = fresh_pred();
+      if (preds_.needs_negation[cmp_vreg] != 0) cp.on_false = fresh_pred();
     }
-    return it->second;
+    return cp;
   }
 
   /// Predicate register for "vreg is true" (or false). For pred-mapped
   /// compare results this is the CMPP destination; otherwise a PSET-like
   /// compare against zero is emitted on the spot.
   std::uint32_t pred_for(VReg v, bool negated) {
-    if (preds_.pred_only.count(v) != 0) {
+    if (preds_.pred_only[v] != 0) {
       CmpPreds& cp = preds_of(v);
       if (!negated) return cp.on_true;
       CEPIC_CHECK(cp.on_false != 0, "complement predicate not allocated");
@@ -434,7 +432,7 @@ private:
     const Operand a = operand_of(inst.a, zext);
     const Operand b = operand_of(inst.b, zext);
 
-    if (preds_.pred_only.count(inst.dst) != 0) {
+    if (preds_.pred_only[inst.dst] != 0) {
       const CmpPreds& cp = preds_of(inst.dst);
       push(Instruction::make(op, cp.on_true, a, b, g, cp.on_false));
       return;
@@ -520,7 +518,7 @@ private:
   std::uint32_t next_vgpr_ = 0;
   std::uint32_t next_vpred_ = 0;
   std::uint32_t next_vbtr_ = 0;
-  std::map<VReg, CmpPreds> cmp_preds_;
+  std::vector<CmpPreds> cmp_preds_;  ///< by compare vreg
 };
 
 }  // namespace

@@ -324,6 +324,10 @@ constexpr GuardPair kGuards[] = {
      true},
     {"BM_Optimize", "BM_Frontend", nullptr, 1.6, false},
     {"BM_EpicBackend", "BM_Frontend", nullptr, 1.6, false},
+    // BM_EpicBackend is mostly the printer (to_text) now, so the two
+    // stages a cold sweep pays per config are guarded on their own.
+    {"BM_Backend/lower", "BM_Frontend", nullptr, 1.6, false},
+    {"BM_Backend/schedule", "BM_Frontend", nullptr, 1.6, false},
     // Compile cost per doubling of a straight-line block, each of 1k ->
     // 2k -> 4k -> 8k statements: linear passes stay near 2x, a quadratic
     // one heads for 4x. time/half is timed against the half-size input

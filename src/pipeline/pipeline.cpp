@@ -168,6 +168,10 @@ ArtifactId Service::program_artifact(std::string_view source,
 }
 
 ir::Module Service::compile_module(std::string_view source) {
+  return shared_module(source);
+}
+
+const ir::Module& Service::shared_module(std::string_view source) {
   obs::Span span("compile_module", "pipeline");
   const ArtifactId id = ir_artifact(source);
   Once<ir::Module>* entry = nullptr;
@@ -202,7 +206,7 @@ ir::Module Service::compile_module(std::string_view source) {
 }
 
 std::string Service::compile_ir_text(std::string_view source) {
-  return ir::to_string(compile_module(source));
+  return ir::to_string(shared_module(source));
 }
 
 analysis::LintReport Service::lint_ir(std::string_view source, bool werror) {
@@ -215,8 +219,7 @@ analysis::LintReport Service::lint_ir(std::string_view source, bool werror) {
     span.arg("cached", "store");
   } else {
     span.arg("cached", "miss");
-    const ir::Module module = compile_module(source);
-    blob = encode_ir_lint(analysis::lint_module(module));
+    blob = encode_ir_lint(analysis::lint_module(shared_module(source)));
     store_.put(id, blob);
     ++ir_lint_runs_;
   }
@@ -227,12 +230,11 @@ analysis::LintReport Service::lint_ir(std::string_view source, bool werror) {
 
 asmtool::Listing Service::compile_listing(std::string_view source,
                                           const ProcessorConfig& slice) {
-  const ir::Module module = compile_module(source);
   // Compile against the slice: identical output by the partition
   // contract, and canonical — the artifact serves every simulation-only
   // variant of the config byte-for-byte.
   asmtool::Listing listing = backend::compile_ir_to_listing(
-      module, slice, options_.codegen.backend);
+      shared_module(source), slice, options_.codegen.backend);
   ++backend_runs_;
   return listing;
 }
@@ -254,7 +256,8 @@ Program Service::compile_program(std::string_view source,
     return program;
   }
   span.arg("cached", "miss");
-  program = asmtool::encode(compile_listing(source, slice), slice);
+  program = asmtool::encode(compile_listing(source, slice), slice,
+                            options_.sim.mem_size);
   store_.put(id, program);
   if (options_.verify) verify_program(program, lint_id);
   program.config = config;

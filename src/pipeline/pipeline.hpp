@@ -205,6 +205,7 @@ public:
   /// with the same source build the IR once per Service, and a warm
   /// persistent store serves the Module as a packed CEPX binary —
   /// decoded, never reparsed (ServiceStats::module_decodes counts it).
+  /// Returns a copy of the shared Module.
   ir::Module compile_module(std::string_view source);
 
   /// Printed optimised IR. The module is served from the store when
@@ -269,6 +270,10 @@ private:
   /// shares its digest — one report per Program).
   ArtifactId program_artifact(std::string_view source,
                               const ProcessorConfig& slice) const;
+  /// The optimised Module for `source`, built once per Service and held
+  /// by its Once entry for the Service's lifetime (compile_module's
+  /// body; in-Service callers read it without a copy).
+  const ir::Module& shared_module(std::string_view source);
   /// Frontend + backend for `slice` (counts a backend run).
   asmtool::Listing compile_listing(std::string_view source,
                                    const ProcessorConfig& slice);

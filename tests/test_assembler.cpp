@@ -2,6 +2,7 @@
 
 #include "asmtool/assembler.hpp"
 #include "sim/simulator.hpp"
+#include "support/text.hpp"
 
 namespace cepic {
 namespace {
@@ -177,6 +178,29 @@ TEST(Assembler, RejectsBadOperands) {
   // The widest values that do fit still assemble.
   EXPECT_NO_THROW(assemble(".global g 2 = 0xFFFFFFFF -2147483648\n", cfg));
   EXPECT_EQ(assemble("mov r1, #0xFFFFFFFF ;;\n", cfg).code[0].src1.lit, -1);
+}
+
+TEST(Assembler, RejectsDataImageLargerThanMemory) {
+  // The data image must fit the simulated memory (4 MiB by default): a
+  // 4 GB global fails on its line before anything is allocated.
+  const ProcessorConfig cfg;
+  try {
+    assemble("halt ;;\n.global small 4\n.global g 1000000000\n", cfg);
+    ADD_FAILURE() << "accepted a 4 GB global";
+  } catch (const AsmError& e) {
+    EXPECT_EQ(e.line(), 3);
+    EXPECT_EQ(std::string(e.what()),
+              "asm line 3: global `g` (1000000000 words) does not fit in "
+              "the 4194304-byte memory");
+  }
+  // The bound counts the globals before it and the data base.
+  const std::string fits = cat(".global g ", ((1u << 22) - kDataBase) / 4);
+  EXPECT_EQ(assemble(fits, cfg).data.size(), (1u << 22) - kDataBase);
+  EXPECT_THROW(assemble(".global a 1\n" + fits, cfg), AsmError);
+  // A larger memory admits a larger image.
+  const std::uint64_t big = std::uint64_t{1} << 24;
+  EXPECT_THROW(assemble(".global g 2000000\n", cfg), AsmError);
+  EXPECT_EQ(assemble(".global g 2000000\n", cfg, big).data.size(), 8000000u);
 }
 
 TEST(Assembler, RejectsUndefinedSymbols) {

@@ -1,5 +1,4 @@
 // Backend unit tests: lowering shapes, register allocation invariants,
-#include "support/text.hpp"
 // scheduler dependence/resource correctness.
 #include <gtest/gtest.h>
 
@@ -7,8 +6,11 @@
 
 #include "backend/backend.hpp"
 #include "frontend/irgen.hpp"
+#include "ir/parse.hpp"
+#include "ir/verify.hpp"
 #include "opt/opt.hpp"
 #include "support/prng.hpp"
+#include "support/text.hpp"
 
 namespace cepic::backend {
 namespace {
@@ -146,6 +148,156 @@ TEST(Lowering, GuardedStoreKeepsGuard) {
     }
   }
   EXPECT_TRUE(guarded_store);
+}
+
+// ---- which compare results become predicates (hand-written IR) ----
+
+/// Lowers function `f` of an IR text module.
+MFunc lower_ir(std::string_view text) {
+  const ir::Module m = ir::parse_module(text);
+  ir::verify_module(m, /*require_main=*/false);
+  const ProcessorConfig cfg;
+  const Mdes mdes(cfg);
+  return lower_function(*m.find_function("f"), m,
+                        ir::layout_globals(m, BackendOptions{}.stack_top),
+                        mdes, cfg);
+}
+
+/// The instructions of `fn` with opcode `op`, in block order.
+std::vector<Instruction> ops_of(const MFunc& fn, Op op) {
+  std::vector<Instruction> out;
+  for (const MBlock& b : fn.blocks) {
+    for (const MInst& mi : b.insts) {
+      if (mi.inst.op == op) out.push_back(mi.inst);
+    }
+  }
+  return out;
+}
+
+/// Does `fn` test IR vreg `v`'s GPR against zero (the guard or branch
+/// condition of a value that is not predicate-only)?
+bool tests_against_zero(const MFunc& fn, ir::VReg v) {
+  for (const Op op : {Op::CMPP_NE, Op::CMPP_EQ}) {
+    for (const Instruction& i : ops_of(fn, op)) {
+      if (i.src1.is_reg() && i.src1.reg == virt_reg(v) && i.src2.is_lit() &&
+          i.src2.lit == 0) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// Does `fn` write 1 into IR vreg `v`'s GPR under a predicate (the 0/1
+/// materialisation of a compare)?
+bool materialises(const MFunc& fn, ir::VReg v) {
+  for (const Instruction& i : ops_of(fn, Op::MOV)) {
+    if (i.dest1 == virt_reg(v) && i.pred != 0 && i.src1.is_lit() &&
+        i.src1.lit == 1) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(Lowering, CmpWithNonCmpDefElsewhereIsMaterialised) {
+  // %2 is a compare in .b1 but a plain move in .b2, so the branch on it
+  // in .b3 must read a GPR that both paths wrote.
+  const MFunc mf = lower_ir(R"(
+int f(%1) frame=0 {
+.b0:
+  condbr %1 ? .b1 : .b2
+.b1:
+  %2 = cmp.lt %1, 5
+  br .b3
+.b2:
+  %2 = 7
+  br .b3
+.b3:
+  condbr %2 ? .b4 : .b5
+.b4:
+  ret 1
+.b5:
+  ret 2
+}
+)");
+  EXPECT_TRUE(materialises(mf, 2));
+  EXPECT_TRUE(tests_against_zero(mf, 2));
+}
+
+TEST(Lowering, CmpUsedAsGuardAndValueIsMaterialised) {
+  const MFunc mf = lower_ir(R"(
+int f(%1, %2) frame=0 {
+.b0:
+  %3 = cmp.lt %1, 5
+  [%3] %2 = 9
+  %4 = add %3, %2
+  ret %4
+}
+)");
+  EXPECT_TRUE(materialises(mf, 3));
+  // The guard is a fresh compare of the materialised value.
+  EXPECT_TRUE(tests_against_zero(mf, 3));
+  const std::vector<Instruction> cmps = ops_of(mf, Op::CMPP_NE);
+  ASSERT_EQ(cmps.size(), 1u);
+  bool guarded = false;
+  for (const Instruction& i : ops_of(mf, Op::MOV)) {
+    if (i.dest1 == virt_reg(2) && i.src1.is_lit() && i.src1.lit == 9) {
+      EXPECT_EQ(i.pred, cmps[0].dest1);
+      guarded = true;
+    }
+  }
+  EXPECT_TRUE(guarded);
+}
+
+TEST(Lowering, NegatedGuardAllocatesTheComplementPredicate) {
+  // A predicate-only compare writes its complement only when some guard
+  // reads it negated; the guarded op then reads the complement.
+  for (const bool negated : {false, true}) {
+    SCOPED_TRACE(negated ? "negated" : "plain");
+    const MFunc mf = lower_ir(cat(R"(
+int f(%1, %2) frame=0 {
+.b0:
+  %3 = cmp.lt %1, 5
+  [)", negated ? "!" : "", R"(%3] %2 = 9
+  ret %2
+}
+)"));
+    const std::vector<Instruction> cmps = ops_of(mf, Op::CMPP_LT);
+    ASSERT_EQ(cmps.size(), 1u);
+    EXPECT_FALSE(materialises(mf, 3));
+    EXPECT_EQ(cmps[0].dest2 != 0, negated);
+    bool guarded = false;
+    for (const Instruction& i : ops_of(mf, Op::MOV)) {
+      if (i.dest1 == virt_reg(2) && i.src1.is_lit() && i.src1.lit == 9) {
+        EXPECT_EQ(i.pred, negated ? cmps[0].dest2 : cmps[0].dest1);
+        guarded = true;
+      }
+    }
+    EXPECT_TRUE(guarded);
+  }
+}
+
+TEST(Lowering, ParameterIsNeverPredicateOnly) {
+  // %1's only def in the body is a compare and its only use a branch,
+  // but on the path .b0 -> .b2 it still holds the caller's argument.
+  const MFunc mf = lower_ir(R"(
+int f(%1, %2) frame=0 {
+.b0:
+  condbr %2 ? .b1 : .b2
+.b1:
+  %1 = cmp.lt %2, 5
+  br .b2
+.b2:
+  condbr %1 ? .b3 : .b4
+.b3:
+  ret 1
+.b4:
+  ret 2
+}
+)");
+  EXPECT_TRUE(materialises(mf, 1));
+  EXPECT_TRUE(tests_against_zero(mf, 1));
 }
 
 // ---- register allocation ----

@@ -288,6 +288,46 @@ TEST(Bench, WallTimeCeilingGuard) {
   EXPECT_FALSE(bad_check->ok);
 }
 
+TEST(Bench, BackendStageCeilingGuards) {
+  // BM_Backend/lower and /schedule are each bounded at 1.6x their
+  // committed ratio to BM_Frontend.
+  auto stage_run = [](std::string label, double lower_ns,
+                      double schedule_ns) {
+    report::BenchRun run;
+    run.label = std::move(label);
+    run.benchmarks["BM_Backend/lower"].real_time_ns = lower_ns;
+    run.benchmarks["BM_Backend/schedule"].real_time_ns = schedule_ns;
+    run.benchmarks["BM_Frontend"].real_time_ns = 1000;
+    return run;
+  };
+  // Baseline ratios 0.5 and 2.5; ceilings 0.8 and 4.0.
+  const std::vector<report::BenchRun> history = {stage_run("base", 500, 2500)};
+  const std::vector<report::RatioCheck> checks =
+      report::check_ratios(history, stage_run("fresh", 900, 3900));
+  const report::RatioCheck* lower =
+      find_check(checks, "BM_Backend/lower/BM_Frontend (time)");
+  const report::RatioCheck* schedule =
+      find_check(checks, "BM_Backend/schedule/BM_Frontend (time)");
+  ASSERT_NE(lower, nullptr);
+  ASSERT_NE(schedule, nullptr);
+  EXPECT_EQ(lower->baseline_label, "base");
+  EXPECT_FALSE(lower->is_floor);
+  EXPECT_DOUBLE_EQ(lower->limit, 0.8);
+  EXPECT_DOUBLE_EQ(lower->fresh, 0.9);
+  EXPECT_FALSE(lower->ok);
+  EXPECT_DOUBLE_EQ(schedule->limit, 4.0);
+  EXPECT_TRUE(schedule->ok);
+  // A fresh run that lost a stage fails against the committed baseline.
+  report::BenchRun lost = stage_run("fresh", 400, 2000);
+  lost.benchmarks.erase("BM_Backend/schedule");
+  const std::vector<report::RatioCheck> lost_checks =
+      report::check_ratios(history, lost);
+  EXPECT_TRUE(
+      find_check(lost_checks, "BM_Backend/lower/BM_Frontend (time)")->ok);
+  EXPECT_FALSE(
+      find_check(lost_checks, "BM_Backend/schedule/BM_Frontend (time)")->ok);
+}
+
 TEST(Bench, ScalingGuardBoundsEveryDoubling) {
   // Each size's "time/half" counter is its own time over its half-size
   // input's; the guard bounds every doubling, with no baseline needed.

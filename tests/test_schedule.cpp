@@ -188,7 +188,8 @@ MInst tagged(const Instruction& inst, const char* tag, bool barrier = false) {
   return mi;
 }
 
-/// Schedules one block and returns each tagged op's bundle (= cycle).
+/// Schedules one block and returns each tagged op's bundle (= cycle);
+/// a tag placed twice fails the test.
 std::map<std::string, unsigned> cycles_of(
     std::vector<MInst> insts, const ProcessorConfig& cfg,
     unsigned port_budget = 0, const CustomOpTable* custom = nullptr) {
@@ -200,7 +201,10 @@ std::map<std::string, unsigned> cycles_of(
   std::map<std::string, unsigned> out;
   const auto& bundles = sf.blocks.at(0).bundles;
   for (unsigned c = 0; c < bundles.size(); ++c) {
-    for (const asmtool::Listing::Op& op : bundles[c]) out[op.src1_sym] = c;
+    for (const asmtool::Listing::Op& op : bundles[c]) {
+      EXPECT_TRUE(out.emplace(op.src1_sym, c).second)
+          << op.src1_sym << " placed twice";
+    }
   }
   return out;
 }
@@ -315,6 +319,36 @@ TEST(Schedule, ZeroLatencyResultIsForwardedToAWaitingReader) {
   EXPECT_EQ(c.at("op"), 0u);
   EXPECT_EQ(c.at("use"), 1u);
   EXPECT_EQ(c.at("ld"), 1u);
+}
+
+TEST(Schedule, ForwardingRefilesAReadyOpOutAndBackIn) {
+  // On one ALU, `use` is ready from cycle 0 (zero-latency producer) but
+  // loses every cycle to the higher k chain until cycle 3. Its port cost
+  // drops while r20 is forwarded (cycle 1) and rises again after
+  // (cycle 2), so it is refiled out of its ready bucket and back in; it
+  // must still be placed exactly once.
+  CustomOp zero;
+  zero.name = "zero";
+  zero.eval = [](std::uint32_t a, std::uint32_t b) { return a ^ b; };
+  zero.latency = 0;
+  CustomOpTable custom;
+  custom.install(0, zero);
+  ProcessorConfig cfg;
+  cfg.num_alus = 1;
+  cfg.custom_ops = {"zero"};
+  const auto c = cycles_of(
+      {tagged(Instruction::make(Op::CUSTOM0, 20, R(22), R(23)), "op"),
+       tagged(testutil::add(21, R(20), I(1)), "use"),
+       tagged(testutil::add(40, R(20), I(1)), "k1"),
+       tagged(testutil::add(41, R(40), I(1)), "k2"),
+       tagged(testutil::add(42, R(41), I(1)), "k3")},
+      cfg, /*port_budget=*/0, &custom);
+  EXPECT_EQ(c.size(), 5u);
+  EXPECT_EQ(c.at("op"), 0u);
+  EXPECT_EQ(c.at("k1"), 1u);
+  EXPECT_EQ(c.at("k2"), 2u);
+  EXPECT_EQ(c.at("use"), 3u);
+  EXPECT_EQ(c.at("k3"), 4u);
 }
 
 }  // namespace
