@@ -41,20 +41,18 @@ int main() {
 
   std::cout << "--- assembling for the default 4-issue core ---\n";
   const Program wide = asmtool::assemble(source, ProcessorConfig{});
-  SimOptions opts;
-  opts.collect_trace = true;
-  EpicSimulator sim(wide, {}, opts);
+  EpicSimulator sim(wide);
+  // The cycle trace is the text rendering of a timeline capped at 10
+  // bundles.
+  SimTimeline timeline(sim.config(), 10);
+  sim.set_timeline(&timeline);
   sim.run();
   std::cout << "sum of elements > threshold: " << sim.output().at(0)
             << " (expect 134)\n";
   std::cout << "cycles: " << sim.stats().cycles << "\n";
 
-  std::cout << "\n--- first 10 trace entries ---\n";
-  for (std::size_t i = 0; i < sim.trace().size() && i < 10; ++i) {
-    const TraceEntry& t = sim.trace()[i];
-    std::cout << "cycle " << pad_left(cat(t.cycle), 3) << "  bundle "
-              << pad_left(cat(t.bundle), 2) << "  " << t.text << "\n";
-  }
+  std::cout << "\n--- first 10 trace entries ---\n"
+            << timeline.to_text(sim.program());
 
   std::cout << "\n--- retarget to a single-issue core (config text only, "
                "paper §4.2) ---\n";

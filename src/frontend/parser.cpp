@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <utility>
 
 #include "frontend/ast.hpp"
@@ -14,6 +15,16 @@ namespace {
 /// recursive-descent parser. C11 (5.2.4.1) asks compilers for at least
 /// 63 parenthesised and 127 block levels.
 constexpr int kMaxNesting = 256;
+
+/// How many links one operator chain may stack on any path of the AST:
+/// binary operators (`a+a+…+a`) and postfix `[i]`/`++`/`--`. Chains are
+/// parsed in a loop, so kMaxNesting does not see them, but the tree
+/// they build is as deep as the chain is long, and irgen and the AST
+/// destructor recurse down it. Longer input is a CompileError at the
+/// operator that crosses the budget rather than a stack overflow. The
+/// paper workloads reach 6 links; irgen overflowed an 8 MiB stack under
+/// AddressSanitizer near 3000.
+constexpr int kMaxChainHeight = 1024;
 
 class Parser {
 public:
@@ -76,6 +87,38 @@ private:
 
   private:
     Parser& p_;
+  };
+
+  /// The links of one chain while it is parsed. height_ carries the
+  /// chain height of the last operand out of the parse functions; a
+  /// chain folds each operand in with operand(), counts each operator
+  /// with link(), and hands its own height to the enclosing chain when
+  /// it ends.
+  class Chain {
+  public:
+    explicit Chain(Parser& p) : p_(p), outer_(p.height_) { p_.height_ = 0; }
+    ~Chain() { p_.height_ = std::max(outer_, height_); }
+    Chain(const Chain&) = delete;
+    Chain& operator=(const Chain&) = delete;
+
+    /// Call after each operand is parsed.
+    void operand() {
+      height_ = std::max(height_, p_.height_);
+      p_.height_ = 0;
+    }
+    /// Call for each link, after its operand.
+    void link(const Token& op) {
+      if (++height_ > kMaxChainHeight) {
+        throw CompileError(
+            cat("operator chain deeper than ", kMaxChainHeight, " links"),
+            op.line, op.col);
+      }
+    }
+
+  private:
+    Parser& p_;
+    int outer_;
+    int height_ = 0;
   };
 
   const Token& expect(Tok kind, const std::string& what) {
@@ -329,18 +372,21 @@ private:
     ExprPtr cond = parse_logical_or();
     if (!at(Tok::Question)) return cond;
     const Token& q = advance();
+    // Both arms nest: `a ? b ? c : d : e` recurses through the middle.
+    const Nest nest(*this, q);
     ExprPtr e = make_expr(ExprKind::Ternary, q);
     e->cond = std::move(cond);
     e->lhs = parse_assignment();
     expect(Tok::Colon, "conditional expression");
-    const Nest nest(*this, q);
     e->rhs = parse_ternary();
     return e;
   }
 
   ExprPtr parse_binary_chain(ExprPtr (Parser::*next)(),
                              std::initializer_list<Tok> ops) {
+    Chain chain(*this);
     ExprPtr lhs = (this->*next)();
+    chain.operand();
     for (;;) {
       bool matched = false;
       for (Tok op : ops) {
@@ -350,6 +396,8 @@ private:
           e->op = op;
           e->lhs = std::move(lhs);
           e->rhs = (this->*next)();
+          chain.operand();
+          chain.link(tok);
           lhs = std::move(e);
           matched = true;
           break;
@@ -429,7 +477,9 @@ private:
   }
 
   ExprPtr parse_postfix() {
+    Chain chain(*this);
     ExprPtr e = parse_primary();
+    chain.operand();
     for (;;) {
       const Token& t = peek();
       if (t.kind == Tok::LBracket) {
@@ -437,9 +487,12 @@ private:
         ExprPtr idx = make_expr(ExprKind::Index, t);
         idx->lhs = std::move(e);
         idx->rhs = parse_expr();
+        chain.operand();
+        chain.link(t);
         expect(Tok::RBracket, "index expression");
         e = std::move(idx);
       } else if (t.kind == Tok::PlusPlus || t.kind == Tok::MinusMinus) {
+        chain.link(t);
         advance();
         if (e->kind != ExprKind::Var && e->kind != ExprKind::Index) {
           error(t, "++/-- needs a variable or element");
@@ -496,6 +549,7 @@ private:
   const std::vector<Token>& toks_;
   std::size_t pos_ = 0;
   int depth_ = 0;
+  int height_ = 0;  ///< chain height of the last operand (see Chain)
 };
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include "asmtool/assembler.hpp"
 #include "core/custom.hpp"
 #include "frontend/irgen.hpp"
-#include "mcheck/mcheck.hpp"
 #include "obs/flight.hpp"
 #include "obs/obs.hpp"
 #include "pipeline/thread_pool.hpp"
@@ -49,8 +48,7 @@ std::string backend_options_text(const backend::BackendOptions& b) {
 /// granularity: one diagnostic per line,
 ///   <rule> <severity> <block> <inst> <function>\t<message>
 /// so a typed LintReport can be rebuilt on a store hit and rendered
-/// with the *caller's* werror setting (mirroring how kLint caches the
-/// mcheck report with werror applied only at the read gate).
+/// with the *caller's* werror setting.
 std::string encode_ir_lint(const analysis::LintReport& report) {
   std::string blob;
   for (const analysis::LintDiagnostic& d : report.diags) {
@@ -245,13 +243,9 @@ Program Service::compile_program(std::string_view source,
   obs::ScopedObserve latency("pipeline.compile_ns");
   const ProcessorConfig slice = codegen_slice(config);
   const ArtifactId id = program_artifact(source, slice);
-  const ArtifactId lint_id{Granularity::kLint, id.digest};
   Program program;
   if (store_.get(id, program)) {
     span.arg("cached", "store");
-    // Verify against the canonical slice-stamped program (mcheck never
-    // reads the simulation-only fields), then re-stamp.
-    if (options_.verify) verify_program(program, lint_id);
     program.config = config;  // re-stamp simulation-only fields
     return program;
   }
@@ -259,45 +253,8 @@ Program Service::compile_program(std::string_view source,
   program = asmtool::encode(compile_listing(source, slice), slice,
                             options_.sim.mem_size);
   store_.put(id, program);
-  if (options_.verify) verify_program(program, lint_id);
   program.config = config;
   return program;
-}
-
-void Service::verify_program(const Program& program,
-                             const ArtifactId& lint_id) {
-  obs::Span span("verify", "pipeline");
-  obs::ScopedObserve latency("pipeline.verify_ns");
-  std::string blob;
-  if (!store_.get(lint_id, blob)) {
-    span.arg("cached", "miss");
-    // Run with werror off so the cached report is werror-independent;
-    // Options::verify_werror is applied at the gate below.
-    const mcheck::Report report = mcheck::check_program(program);
-    const std::uint64_t errors =
-        report.count(mcheck::Severity::Error);
-    const std::uint64_t warnings =
-        report.count(mcheck::Severity::Warning);
-    blob = cat(errors, " ", warnings, "\n", report.to_text());
-    store_.put(lint_id, blob);
-    ++lint_runs_;
-  }
-  std::uint64_t errors = 0;
-  std::uint64_t warnings = 0;
-  std::string text;
-  {
-    std::istringstream in(blob);
-    in >> errors >> warnings;
-    std::string line;
-    std::getline(in, line);  // rest of the count line
-    std::ostringstream rest;
-    rest << in.rdbuf();
-    text = rest.str();
-  }
-  if (errors > 0 || (options_.verify_werror && warnings > 0)) {
-    throw Error(cat("mcheck: program fails machine-code verification for ",
-                    program.config.summary(), "\n", text));
-  }
 }
 
 std::string Service::compile_asm(std::string_view source,
@@ -350,12 +307,6 @@ std::vector<RunOutcome> Service::run_batch(
           backend_options_text(options_.codegen.backend),
           "|mem=", options_.sim.mem_size,
           ";max_cycles=", options_.sim.max_cycles,
-          // Verification never changes a successful outcome's bytes,
-          // but a cached "ok" must mean "ok under these verify
-          // settings" — a non-verified result may answer for a program
-          // the verifier would reject.
-          ";verify=", options_.verify ? 1 : 0,
-          ";verify_werror=", options_.verify_werror ? 1 : 0,
           // Execution tiers are differentially proven bit-identical,
           // but a cached result must never mask a tier divergence: a
           // hit may only answer for the tier that produced it.
@@ -521,7 +472,6 @@ void publish_stats(const ServiceStats& s) {
   r.set_counter("pipeline.module_decodes", s.module_decodes);
   r.set_counter("pipeline.simulations", s.simulations);
   r.set_counter("pipeline.sim_images", s.sim_images);
-  r.set_counter("pipeline.lint_runs", s.lint_runs);
   r.set_counter("pipeline.ir_lint_runs", s.ir_lint_runs);
   r.set_counter("pipeline.result_hits", s.result_hits);
   r.set_counter("pipeline.result_misses", s.result_misses);
@@ -534,7 +484,6 @@ void publish_stats(const ServiceStats& s) {
   };
   fold("ir", s.store.ir);
   fold("program", s.store.program);
-  fold("lint", s.store.lint);
   fold("irlint", s.store.ir_lint);
 }
 
@@ -566,7 +515,6 @@ ServiceStats Service::stats() const {
   s.module_decodes = module_decodes_;
   s.simulations = simulations_;
   s.sim_images = sim_images_;
-  s.lint_runs = lint_runs_;
   s.ir_lint_runs = ir_lint_runs_;
   s.sim_dedup_hits = sim_dedup_hits_;
   return s;

@@ -1,9 +1,9 @@
 // cepic::pipeline — the unified compile/run surface of the toolchain.
 //
 // A pipeline::Service owns (a) a content-addressed store of compilation
-// artifacts at four granularities (optimised IR as a CEPX binary, the
+// artifacts at three granularities (optimised IR as a CEPX binary, the
 // assembled Program — the one per-config compile product — and the
-// mcheck and IR-lint reports) and (b) a shared thread-pool scheduler
+// IR-lint report) and (b) a shared thread-pool scheduler
 // that runs compile and simulate steps of a batch as separate
 // dependency-ordered tasks. Everything —
 // explore::run_sweep, the cepic-cc / cepic-sim / cepic-explore tools,
@@ -135,16 +135,6 @@ struct Options {
   /// => no result persistence. (Kept separate from the store because
   /// entries are keyed per *simulation*, not per artifact.)
   std::string result_cache_file;
-  /// Run the mcheck machine-code verifier over every compiled Program
-  /// and refuse (throw / fail the batch item) on rule errors. Reports
-  /// are cached in the store at Granularity::kLint under the program's
-  /// artifact key — sound because mcheck reads only the codegen slice
-  /// of the configuration. Never changes artifact bytes, so it is not
-  /// part of the store key material; it *is* folded into the
-  /// result-cache context (a "verified" result must mean verified).
-  bool verify = false;
-  /// Escalate mcheck warnings (port-budget, latency) to failures too.
-  bool verify_werror = false;
 };
 
 /// Counters for `--cache-stats`. compiles() == 0 on a fully warm run is
@@ -159,7 +149,6 @@ struct ServiceStats {
   /// SimImages built: one per compile group that simulates in
   /// run_batch (shared by its simulation-only variants), one per run().
   std::uint64_t sim_images = 0;
-  std::uint64_t lint_runs = 0;       ///< mcheck verifications executed
   std::uint64_t ir_lint_runs = 0;    ///< IR-level lint executions
   std::uint64_t result_hits = 0;     ///< batch items served from results
   std::uint64_t result_misses = 0;   ///< (the result cache's own counters)
@@ -266,8 +255,7 @@ public:
 private:
   /// Handle of the shared optimised-IR artifact for `source`.
   ArtifactId ir_artifact(std::string_view source) const;
-  /// Handle of the Program artifact for `source` on `slice` (kLint
-  /// shares its digest — one report per Program).
+  /// Handle of the Program artifact for `source` on `slice`.
   ArtifactId program_artifact(std::string_view source,
                               const ProcessorConfig& slice) const;
   /// The optimised Module for `source`, built once per Service and held
@@ -277,10 +265,6 @@ private:
   /// Frontend + backend for `slice` (counts a backend run).
   asmtool::Listing compile_listing(std::string_view source,
                                    const ProcessorConfig& slice);
-  /// The Options::verify gate: lint `program` (store-cached at
-  /// `lint_id`, sharing the program artifact's digest) and throw Error
-  /// with the rendered report when it is not clean.
-  void verify_program(const Program& program, const ArtifactId& lint_id);
   std::string result_cache_path() const;
 
   Options options_;
@@ -320,7 +304,6 @@ private:
   std::atomic<std::uint64_t> module_decodes_{0};
   std::atomic<std::uint64_t> simulations_{0};
   std::atomic<std::uint64_t> sim_images_{0};
-  std::atomic<std::uint64_t> lint_runs_{0};
   std::atomic<std::uint64_t> ir_lint_runs_{0};
   std::atomic<std::uint64_t> sim_dedup_hits_{0};
 };

@@ -25,10 +25,10 @@ constexpr std::uint64_t SimStats::*kCounters[] = {
     &SimStats::branches_taken,   &SimStats::branches_not_taken,
 };
 
-// v2 <src hex> <cfg hex> <counters> <trace_truncated> <histogram>
-//    <exec_tier> <out_words> <out_hash hex> <ret>
-constexpr std::size_t kFields = 3 + std::size(kCounters) + 1 +
-                                (SimStats::kMaxBundleWidth + 1) + 1 + 3;
+// v3 <src hex> <cfg hex> <counters> <histogram> <exec_tier> <out_words>
+//    <out_hash hex> <ret>
+constexpr std::size_t kFields =
+    3 + std::size(kCounters) + (SimStats::kMaxBundleWidth + 1) + 1 + 3;
 
 bool parse_u64(std::string_view s, std::uint64_t& out, bool hex) {
   const char* end = s.data() + s.size();
@@ -36,7 +36,7 @@ bool parse_u64(std::string_view s, std::uint64_t& out, bool hex) {
   return ec == std::errc() && stop == end;
 }
 
-/// Parse one `v2` line's fields into `key` and `out`; false when any
+/// Parse one `v3` line's fields into `key` and `out`; false when any
 /// field is malformed or out of range.
 bool parse_entry(const std::vector<std::string_view>& fields,
                  ResultCache::Key& key, RunOutcome& out) {
@@ -48,9 +48,6 @@ bool parse_entry(const std::vector<std::string_view>& fields,
   for (const auto counter : kCounters) {
     if (!next(out.*counter)) return false;
   }
-  std::uint64_t truncated = 0;
-  if (!next(truncated) || truncated > 1) return false;
-  out.trace_truncated = truncated == 1;
   for (std::uint64_t& bucket : out.bundle_width_hist) {
     if (!next(bucket)) return false;
   }
@@ -78,7 +75,7 @@ std::size_t ResultCache::load_file(const std::string& path) {
     const auto fields = split_ws(line);
     Key key;
     RunOutcome outcome;
-    if (fields.size() != kFields || fields[0] != "v2" ||
+    if (fields.size() != kFields || fields[0] != "v3" ||
         !parse_entry(fields, key, outcome)) {
       continue;
     }
@@ -93,16 +90,15 @@ void ResultCache::save_file(const std::string& path) const {
   std::ostringstream os;
   os << "# cepic pipeline result cache. One line per (source, config) "
         "point:\n"
-     << "# v2 src_hash cfg_hash <" << std::size(kCounters)
-     << " SimStats counters> trace_truncated <"
+     << "# v3 src_hash cfg_hash <" << std::size(kCounters)
+     << " SimStats counters> <"
      << SimStats::kMaxBundleWidth + 1
      << " bundle-width buckets> exec_tier out_words out_hash ret\n";
   {
     std::unique_lock<std::mutex> lock(mu_);
     for (const auto& [key, e] : entries_) {
-      os << "v2 " << hex64(key.first) << ' ' << hex64(key.second);
+      os << "v3 " << hex64(key.first) << ' ' << hex64(key.second);
       for (const auto counter : kCounters) os << ' ' << e.*counter;
-      os << ' ' << (e.trace_truncated ? 1 : 0);
       for (const std::uint64_t bucket : e.bundle_width_hist) os << ' ' << bucket;
       os << ' ' << static_cast<unsigned>(e.exec_tier) << ' ' << e.output_words
          << ' ' << hex64(e.output_hash) << ' ' << e.ret << '\n';

@@ -10,10 +10,11 @@
 // run, which keeps every cached field an integer and the file format
 // trivially round-trippable.
 //
-// File format: one `v2` line per entry, `#` comments; unknown or
-// malformed lines (including old `v1` lines) are ignored on load so
-// stale files never break a run. The file is published by temp-file +
-// rename, so a run killed mid-save leaves the previous file intact.
+// File format: one `v3` line per entry, `#` comments; unknown or
+// malformed lines (including old `v1` and `v2` lines) are ignored on
+// load so stale files never break a run. The file is published by
+// temp-file + rename, so a run killed mid-save leaves the previous file
+// intact.
 #pragma once
 
 #include <cstdint>

@@ -21,7 +21,6 @@ namespace fs = std::filesystem;
 GranularityStats& stats_for(StoreStats& s, Granularity g) {
   switch (g) {
     case Granularity::kIr: return s.ir;
-    case Granularity::kLint: return s.lint;
     case Granularity::kIrLint: return s.ir_lint;
     default: return s.program;
   }
@@ -31,7 +30,6 @@ GranularityStats& stats_for(StoreStats& s, Granularity g) {
 const char* subdir(Granularity g) {
   switch (g) {
     case Granularity::kIr: return "ir";
-    case Granularity::kLint: return "lint";
     case Granularity::kIrLint: return "irlint";
     default: return "prog";
   }
@@ -42,7 +40,6 @@ const char* subdir(Granularity g) {
 const char* extension(Granularity g) {
   switch (g) {
     case Granularity::kIr: return ".cepx";
-    case Granularity::kLint: return ".lint";
     case Granularity::kIrLint: return ".irlint";
     default: return ".cepx";
   }
@@ -76,7 +73,6 @@ std::string_view as_view(const std::vector<std::uint8_t>& bytes) {
 const char* to_string(Granularity g) {
   switch (g) {
     case Granularity::kIr: return "ir";
-    case Granularity::kLint: return "lint";
     case Granularity::kIrLint: return "irlint";
     default: return "program";
   }
@@ -115,7 +111,8 @@ Store::Store(const std::string& root, std::string version_tag) {
   // directory contains the per-granularity subtrees. Someone pointing
   // the root at a versioned directory (old layout, or a copy-paste of
   // an inner path) would silently shadow every artifact, so reject it.
-  // (`asm/` held assembly text in older stores.)
+  // (`asm/` held assembly text and `lint/` mcheck reports in older
+  // stores.)
   const fs::path root_path(root);
   for (const char* g : {"ir", "asm", "prog", "lint", "irlint"}) {
     std::error_code ec;

@@ -1,4 +1,4 @@
-// Content-addressed store of compilation artifacts at four
+// Content-addressed store of compilation artifacts at three
 // granularities:
 //
 //   kIr       the optimised IR Module, CEPX-encoded (keyed by source +
@@ -10,10 +10,6 @@
 //             options; stored with the codegen slice embedded so one
 //             blob serves every simulation-only variant of the config).
 //             Assembly text is never stored: it is printed on demand.
-//   kLint     the mcheck verification report for the Program with the
-//             same key (first line "<errors> <warnings>", then the
-//             rendered report) — sound because mcheck reads only the
-//             codegen slice of the configuration
 //   kIrLint   the IR-level lint report (analysis::lint_module) for the
 //             optimised Module, keyed like kIr (config-independent —
 //             the lint reads only the IR), one parseable diagnostic
@@ -49,11 +45,10 @@ namespace cepic::pipeline {
 enum class Granularity {
   kIr = 0,
   kProgram = 1,
-  kLint = 2,
-  kIrLint = 3,
+  kIrLint = 2,
 };
 
-inline constexpr int kNumGranularities = 4;
+inline constexpr int kNumGranularities = 3;
 
 const char* to_string(Granularity g);
 
@@ -85,6 +80,8 @@ struct StoreStats {
   /// deletes it.
   GranularityStats assembly;
   GranularityStats program;
+  /// Always zero, like `assembly`: no granularity stores mcheck reports
+  /// any more (cepic-lint runs mcheck itself). Kept for the same reason.
   GranularityStats lint;
   GranularityStats ir_lint;
 };
@@ -107,7 +104,7 @@ public:
   /// Error if `root` holds an old-layout or foreign store.
   explicit Store(const std::string& root, std::string version_tag = {});
 
-  // --- raw blob interface (kLint / kIrLint text artifacts) ---
+  // --- raw blob interface (kIrLint text artifacts) ---
 
   /// Look up a blob. Memory first, then disk (a disk hit is promoted
   /// into memory). Returns false on a miss.

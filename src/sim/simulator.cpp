@@ -146,7 +146,6 @@ void EpicSimulator::reset() {
   halted_ = false;
   output_.clear();
   stats_ = SimStats{};
-  trace_.clear();
 }
 
 std::uint32_t EpicSimulator::gpr(unsigned i) const {
@@ -286,8 +285,6 @@ bool EpicSimulator::finish_step(std::uint64_t issue, bool branch_taken,
     ++stats_.stall_mem_contention;
   }
 
-  if (options_.collect_trace) trace_record(issue, decoded_[pc_]);
-
   unsigned bubbles = 0;
   bool keep_running = true;
   if (halt_now) {
@@ -326,27 +323,6 @@ bool EpicSimulator::finish_step(std::uint64_t issue, bool branch_taken,
     timeline_->record(bundle, tl_ops_);
   }
   return keep_running;
-}
-
-void EpicSimulator::trace_record(std::uint64_t issue,
-                                 const DecodedBundle& bundle) {
-  const auto pc = static_cast<std::uint32_t>(&bundle - decoded_);
-  if (trace_.size() < options_.trace_limit) {
-    std::string text;
-    for (const Instruction& inst : image_->program.bundle(pc)) {
-      if (inst.is_nop()) continue;
-      if (!text.empty()) text += " || ";
-      text += to_string(inst);
-    }
-    trace_.push_back({issue, pc, text.empty() ? "nop" : text});
-  } else if (!stats_.trace_truncated) {
-    // The limit was hit: leave an explicit marker instead of silently
-    // dropping the tail, and flag it on the statistics.
-    stats_.trace_truncated = true;
-    trace_.push_back({issue, pc,
-                      cat("[trace truncated at ", options_.trace_limit,
-                          " entries]")});
-  }
 }
 
 bool EpicSimulator::step() {

@@ -21,12 +21,11 @@
 // std::shared_ptr<const SimImage> across every simulation-only variant
 // of one compiled Program. The EpicSimulator holds only per-run state:
 // the full ProcessorConfig, registers, memory, the threaded tier's
-// blocks, statistics and trace (docs/SIM.md "Simulator images").
+// blocks and statistics (docs/SIM.md "Simulator images").
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/custom.hpp"
@@ -43,28 +42,21 @@ namespace cepic {
 struct SimOptions {
   std::uint64_t max_cycles = 2'000'000'000;
   std::size_t mem_size = std::size_t{1} << 22;  // 4 MiB
-  bool collect_trace = false;
-  std::size_t trace_limit = 4096;
   /// Execution tier (docs/SIM.md "Execution tiers"). Threaded promotes
   /// hot bundle runs to pre-compiled micro-op blocks (sim/threaded.hpp)
   /// and executes cold/irregular code on the decode tier; Decode is the
   /// pre-decoded fast path (sim/decode.hpp); Interp is the
   /// decode-every-cycle reference. All three are bit-identical in
-  /// stats, output, traces, faults and architectural state
-  /// (tests/test_sim_fastpath.cpp proves it differentially). run() with
-  /// a timeline attached pins Threaded to Decode and flags it in
-  /// SimStats::timeline_pinned.
+  /// stats, output, faults and architectural state
+  /// (tests/test_sim_fastpath.cpp proves it differentially). Per-bundle
+  /// recording (a SimTimeline, which also renders the text trace) runs
+  /// on the decode tier: run() with a timeline attached pins Threaded to
+  /// Decode and flags it in SimStats::timeline_pinned.
   ExecTier exec_tier = ExecTier::Threaded;
   /// An entry pc's Nth dispatch (N = this) compiles and runs its
   /// threaded block; the first N-1 run on the decode tier. 1 compiles
   /// eagerly on first touch. Only read when exec_tier == Threaded.
   unsigned threaded_hot_threshold = 8;
-};
-
-struct TraceEntry {
-  std::uint64_t cycle = 0;
-  std::uint32_t bundle = 0;
-  std::string text;
 };
 
 /// The immutable half of a simulator: everything that is a pure
@@ -138,7 +130,6 @@ public:
   const std::vector<std::uint32_t>& output() const { return output_; }
 
   const SimStats& stats() const { return stats_; }
-  const std::vector<TraceEntry>& trace() const { return trace_; }
   /// The image's Program: its config is the codegen slice. config()
   /// is the full configuration of this run.
   const Program& program() const { return image_->program; }
@@ -202,10 +193,6 @@ private:
   bool finish_step(std::uint64_t issue, bool branch_taken,
                    std::uint32_t branch_target, bool halt_now, bool any_mem,
                    unsigned useful_ops);
-  /// Shared trace append (limit + truncation marker) for the issued
-  /// `bundle`, an element of decoded_. Used by finish_step and the
-  /// threaded tier.
-  void trace_record(std::uint64_t issue, const DecodedBundle& bundle);
 
   // --- threaded tier (sim/threaded.cpp) ---
   /// run() body for ExecTier::Threaded: dispatch compiled blocks,
@@ -279,7 +266,6 @@ private:
 
   std::vector<std::uint32_t> output_;
   SimStats stats_;
-  std::vector<TraceEntry> trace_;
 };
 
 }  // namespace cepic

@@ -40,9 +40,6 @@ std::string SimStats::report() const {
     }
   }
   s += "\n";
-  if (trace_truncated) {
-    s += "trace truncated:    yes\n";
-  }
   return s;
 }
 

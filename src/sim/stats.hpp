@@ -11,7 +11,7 @@
 namespace cepic {
 
 /// Simulator execution tier (docs/SIM.md "Execution tiers"). All three
-/// produce bit-identical statistics, output, traces and faults; they
+/// produce bit-identical statistics, output and faults; they
 /// differ only in speed (tests/test_sim_fastpath.cpp proves it
 /// differentially).
 enum class ExecTier : std::uint8_t {
@@ -41,11 +41,6 @@ struct SimStats {
   std::uint64_t branches_taken = 0;
   std::uint64_t branches_not_taken = 0;
 
-  /// The execution trace hit SimOptions::trace_limit and later entries
-  /// were dropped (an explicit truncation marker entry is appended to
-  /// the trace itself as well — never a silent cut).
-  bool trace_truncated = false;
-
   /// Widest issue the histogram below can record. The simulator asserts
   /// config.issue_width fits at construction, so a customisation with
   /// wider issue fails loudly instead of silently folding into the top
@@ -59,8 +54,9 @@ struct SimStats {
   // --- execution metadata (not architecture-visible counters) ---------
 
   /// Tier that executed the most recent run()/step(). When a timeline
-  /// is attached to a threaded-tier simulator the run pins to the
-  /// decode tier and says so here (timeline_pinned below).
+  /// (which also renders the text trace) is attached to a threaded-tier
+  /// simulator the run pins to the decode tier and says so here
+  /// (timeline_pinned below).
   ExecTier exec_tier = ExecTier::Interp;
   /// exec_tier was requested Threaded but the run executed on the
   /// decode tier because a SimTimeline was attached.
@@ -92,7 +88,6 @@ struct SimStats {
            mem_writes == o.mem_writes &&
            branches_taken == o.branches_taken &&
            branches_not_taken == o.branches_not_taken &&
-           trace_truncated == o.trace_truncated &&
            bundle_width_hist == o.bundle_width_hist;
   }
 };

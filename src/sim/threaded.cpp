@@ -515,7 +515,6 @@ ThreadedBlock EpicSimulator::compile_block(std::uint32_t entry_pc) {
             static_cast<std::uint32_t>(std::min<std::size_t>(
                 bundle.ops.size(), SimStats::kMaxBundleWidth))
                 << 8;
-      if (options_.collect_trace) m.flags |= kFlagTrace;
       if (config_.unified_memory_contention) {
         m.flags |= kFlagContention;
       }
@@ -636,9 +635,9 @@ void EpicSimulator::exec_block(const ThreadedBlock& block) {
 
   // The architectural clock and next-pc live in registers; the members
   // (cycle_, pc_, stats_.cycles) are flushed only where they become
-  // observable: block exits, per-bundle fallbacks, trace records and
-  // fault throws. Invariant at every flush point: stats_.cycles ==
-  // cycle_ == clk at a bundle boundary, exactly as after finish_step.
+  // observable: block exits, per-bundle fallbacks and fault throws.
+  // Invariant at every flush point: stats_.cycles == cycle_ == clk at a
+  // bundle boundary, exactly as after finish_step.
   std::uint64_t clk = cycle_;
   std::uint32_t pcl = pc_;
   std::uint64_t issue = clk;
@@ -713,14 +712,6 @@ void EpicSimulator::exec_block(const ThreadedBlock& block) {
   if ((m.flags & kFlagContention) && any_mem) {                      \
     ++clk;                                                           \
     ++stats_.stall_mem_contention;                                   \
-  }                                                                  \
-  if (m.flags & kFlagTrace) {                                        \
-    /* Flushing pc_ and passing the decoded bundle keep GCC's */      \
-    /* register allocation of exec_block lean: dropping either one */ \
-    /* measured a third more stack spills and ~20% slower blocks. */  \
-    pc_ = m.pc;                                                      \
-    cycle_ = clk;                                                    \
-    trace_record(issue, db[m.pc]);                                   \
   }                                                                  \
   any_mem = false; /* consume-and-reset: cheaper than resetting */   \
   pend_n = 0;      /* at every begin (see kFallback / kEnd)     */

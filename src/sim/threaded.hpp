@@ -11,9 +11,11 @@
 // switch dispatch loop (exec_block) then executes whole blocks without
 // re-deriving any static fact and with all loop state in registers.
 //
-// Correctness contract: bit-identical SimStats, OUT stream, traces,
+// Correctness contract: bit-identical SimStats, OUT stream,
 // architectural state and fault text/interleaving against the other
 // two tiers (tests/test_sim_fastpath.cpp proves it differentially).
+// The tier records nothing per bundle: a run with a SimTimeline
+// attached executes on the decode tier instead.
 // Bundles the lowering cannot prove exact — intra-bundle hazards,
 // custom-op slots (user semantics may throw), unsupported ops, operand
 // shapes outside the fast kinds — fall back per bundle to
@@ -115,7 +117,6 @@ inline constexpr std::uint8_t kFlagTargetGpr = 16;  ///< kBr* target indexes
                                                     ///< gprs_ (incl. pool),
                                                     ///< not btrs_
 inline constexpr std::uint8_t kFlagLink = 32;       ///< kBr writes link (BRL)
-inline constexpr std::uint8_t kFlagTrace = 64;      ///< kEnd*: record trace
 inline constexpr std::uint8_t kFlagContention = 128;  ///< kEnd*: mem steals
 
 /// Number of dispatch codes (kExit is last); the dispatch table in

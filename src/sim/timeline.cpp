@@ -1,5 +1,6 @@
 #include "sim/timeline.hpp"
 
+#include "core/program.hpp"
 #include "obs/obs.hpp"
 #include "support/text.hpp"
 
@@ -121,6 +122,28 @@ void SimTimeline::record(const BundleEvent& bundle,
   }
 }
 
+std::string SimTimeline::truncation_note() const {
+  return cat("timeline truncated at ", max_bundles_, " bundles");
+}
+
+std::string SimTimeline::to_text(const Program& program) const {
+  std::string s;
+  for (const Slice& slice : slices_) {
+    if (slice.kind != kIssue) continue;
+    std::string ops;
+    for (const Instruction& inst : program.bundle(slice.pc)) {
+      if (inst.is_nop()) continue;
+      if (!ops.empty()) ops += " || ";
+      ops += to_string(inst);
+    }
+    s += cat("cycle ", pad_left(cat(slice.ts), 6), "  bundle ",
+             pad_left(cat(slice.pc), 5), "  ", ops.empty() ? "nop" : ops,
+             "\n");
+  }
+  if (truncated_) s += cat("[", truncation_note(), "]\n");
+  return s;
+}
+
 std::string SimTimeline::to_chrome_json() const {
   std::vector<obs::TraceEvent> events;
   events.reserve(slices_.size() + track_names_.size() + 2);
@@ -184,7 +207,7 @@ std::string SimTimeline::to_chrome_json() const {
   if (truncated_) {
     obs::TraceEvent marker;
     marker.ph = 'I';
-    marker.name = cat("timeline truncated at ", max_bundles_, " bundles");
+    marker.name = truncation_note();
     marker.cat = "meta";
     marker.tid = 1;
     marker.ts = static_cast<double>(totals_.cycles);

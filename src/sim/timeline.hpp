@@ -21,6 +21,10 @@
 // construction — tests/test_obs.cpp re-derives the per-class sums from
 // the exported JSON and asserts equality with the run's SimStats.
 //
+// The issue track also renders as the text execution trace (to_text;
+// cepic-sim --trace), so the timeline is the simulator's one per-bundle
+// recorder.
+//
 // Recording is opt-in (EpicSimulator::set_timeline) and rides the
 // decode-cache fast path: the simulator only ever does three integer
 // stores per step plus, when a timeline is attached, one op-list
@@ -38,11 +42,13 @@
 
 namespace cepic {
 
+struct Program;
+
 class SimTimeline {
 public:
   /// `max_bundles` caps the number of per-bundle event groups kept in
   /// memory (0 = unlimited). Past the cap, totals keep accumulating and
-  /// the export carries an explicit truncation marker — never a
+  /// both renderings carry an explicit truncation marker — never a
   /// silently shortened timeline.
   explicit SimTimeline(const ProcessorConfig& config,
                        std::uint64_t max_bundles = 0);
@@ -91,6 +97,12 @@ public:
   /// per-cycle slices, and the totals under "otherData".
   std::string to_chrome_json() const;
 
+  /// The issue track as the text execution trace, one line per kept
+  /// bundle: `cycle N  bundle P  op || op` (or `nop`), with the op text
+  /// read from `program`, the Program that was simulated. Ends with a
+  /// `[timeline truncated at N bundles]` line when the cap was hit.
+  std::string to_text(const Program& program) const;
+
 private:
   struct Slice {
     std::uint8_t track = 0;      ///< index into track_names_
@@ -103,6 +115,7 @@ private:
   };
 
   unsigned fu_track(FuClass fu, unsigned& alu_rr) const;
+  std::string truncation_note() const;
 
   ProcessorConfig config_;
   std::uint64_t max_bundles_ = 0;

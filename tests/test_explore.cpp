@@ -268,7 +268,6 @@ RunOutcome full_outcome(std::uint64_t seed) {
     *counter = ++v;
   }
   for (std::uint64_t& bucket : e.bundle_width_hist) bucket = ++v;
-  e.trace_truncated = true;
   e.exec_tier = ExecTier::Decode;
   e.output_hash = 0xabcdef0123456789ull + seed;
   e.ret = 0xfffffff0u + static_cast<std::uint32_t>(seed % 8);
@@ -289,7 +288,14 @@ TEST(ResultCache, FileRoundTripIgnoresCorruptLines) {
         << "v1 zz zz 1 2 3 4 5\n"
         << "v1 1 2 3\n"
         << "v1 1 2 12345 678 3 abcdef0123456789 42\n"  // old format
-        << "v2 1 2 3 4 5 6 7\n";                        // wrong field count
+        << "v3 1 2 3 4 5 6 7\n";                        // wrong field count
+    // A well-formed line of the previous format, which also carried a
+    // trace-truncated flag: same key, other counters; skipped whole.
+    out << "v2 " << hex64(key.first) << ' ' << hex64(key.second);
+    for (int i = 0; i < 14; ++i) out << " 7";  // SimStats counters
+    out << " 1";                                // trace truncated
+    for (int i = 0; i < 9; ++i) out << " 7";   // bundle-width buckets
+    out << " 1 0 0 0\n";                       // tier, out words/hash, ret
   }
   ResultCache loaded;
   EXPECT_EQ(loaded.load_file(path), 1u);

@@ -369,77 +369,5 @@ TEST(SchedulerContract, BrokenBudgetIsCaughtByMcheckNotTheSimulator) {
   EXPECT_GT(sim.stats().stall_reg_ports, 0u);
 }
 
-// ------------------------------------------- pipeline verify stage
-
-const char* kVerifyProg =
-    "int main() {"
-    "  int s = 0;"
-    "  for (int i = 0; i < 16; i++) s += i * i;"
-    "  out(s); return s & 0xFF; }";
-
-TEST(PipelineVerify, CleanProgramPassesAndReportIsCached) {
-  pipeline::Options opts;
-  opts.verify = true;
-  opts.verify_werror = true;
-  pipeline::Service service(opts);
-  (void)service.compile_program(kVerifyProg, ProcessorConfig{});
-  EXPECT_EQ(service.stats().lint_runs, 1u);
-  // Second compile: program AND lint report served from the store.
-  (void)service.compile_program(kVerifyProg, ProcessorConfig{});
-  EXPECT_EQ(service.stats().lint_runs, 1u);
-  EXPECT_GE(service.stats().store.lint.hits, 1u);
-}
-
-TEST(PipelineVerify, RejectsBrokenScheduleUnderWerror) {
-  // SHA has enough ILP that the broken budget actually changes the
-  // schedule (kVerifyProg's dependence chains never fill a MultiOp).
-  const workloads::Workload w = workloads::make_sha(8);
-  pipeline::Options opts;
-  opts.verify = true;
-  opts.verify_werror = true;
-  opts.codegen.backend.test_override_port_budget = 32;
-  pipeline::Service service(opts);
-  try {
-    (void)service.compile_program(w.minic_source, ProcessorConfig{});
-    FAIL() << "verify stage accepted an over-budget schedule";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("mcheck"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(PipelineVerify, BatchItemsCarryTheVerifierError) {
-  const workloads::Workload w = workloads::make_sha(8);
-  pipeline::Options opts;
-  opts.verify = true;
-  opts.verify_werror = true;
-  opts.codegen.backend.test_override_port_budget = 32;
-  opts.jobs = 2;
-  pipeline::Service service(opts);
-  const std::vector<pipeline::RunOutcome> outcomes =
-      service.run_batch({w.minic_source}, {ProcessorConfig{}});
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_FALSE(outcomes[0].ok);
-  EXPECT_NE(outcomes[0].error.find("mcheck"), std::string::npos)
-      << outcomes[0].error;
-}
-
-TEST(PipelineVerify, OffByDefaultAndWarningsDontReject) {
-  // verify off: the broken schedule compiles fine (pre-PR behaviour).
-  pipeline::Options off;
-  off.codegen.backend.test_override_port_budget = 32;
-  pipeline::Service off_service(off);
-  EXPECT_NO_THROW(
-      (void)off_service.compile_program(kVerifyProg, ProcessorConfig{}));
-  EXPECT_EQ(off_service.stats().lint_runs, 0u);
-  // verify without werror: port-budget findings are warnings, pass.
-  pipeline::Options warn = off;
-  warn.verify = true;
-  pipeline::Service warn_service(warn);
-  EXPECT_NO_THROW(
-      (void)warn_service.compile_program(kVerifyProg, ProcessorConfig{}));
-  EXPECT_EQ(warn_service.stats().lint_runs, 1u);
-}
-
 }  // namespace
 }  // namespace cepic::mcheck

@@ -31,6 +31,7 @@
 #include "sim/simulator.hpp"
 #include "sim/timeline.hpp"
 #include "support/error.hpp"
+#include "support/text.hpp"
 
 // --- allocation counting (no-allocation tests) ------------------------
 // Counting is off except inside the windows the tests open, so the
@@ -757,37 +758,49 @@ TEST(SimTimeline, ValidatesAgainstCheckedInSchema) {
 // ------------------------------------------------ trace truncation marker
 
 TEST(SimTrace, TruncationAppendsExplicitMarker) {
+  // The text trace renders the timeline, so one cap bounds both outputs
+  // and both carry the same marker. Every tier records the same lines:
+  // a threaded run with a timeline attached executes on the decode tier.
   const ProcessorConfig config;
   Program program = compile(kStallProg, config);
+  std::string first;
   for (const ExecTier tier :
        {ExecTier::Threaded, ExecTier::Decode, ExecTier::Interp}) {
+    SCOPED_TRACE(to_string(tier));
     SimOptions options;
-    options.collect_trace = true;
-    options.trace_limit = 10;
     options.exec_tier = tier;
     options.threaded_hot_threshold = 1;
     EpicSimulator sim(program, {}, options);
+    SimTimeline timeline(sim.config(), 10);
+    sim.set_timeline(&timeline);
     const SimStats& stats = sim.run();
-    EXPECT_TRUE(stats.trace_truncated);
-    ASSERT_EQ(sim.trace().size(), 11u);  // limit entries + the marker
-    EXPECT_NE(sim.trace().back().text.find("[trace truncated at 10 entries]"),
+    EXPECT_TRUE(timeline.truncated());
+    EXPECT_EQ(stats.timeline_pinned, tier == ExecTier::Threaded);
+    const std::string text = timeline.to_text(sim.program());
+    const auto lines = split(text, '\n');
+    ASSERT_EQ(lines.size(), 12u);  // 10 bundles, the marker, "" after it
+    EXPECT_EQ(lines[10], "[timeline truncated at 10 bundles]");
+    EXPECT_NE(timeline.to_chrome_json().find("timeline truncated at 10 "
+                                             "bundles"),
               std::string::npos);
-    EXPECT_NE(stats.report().find("trace truncated:    yes"),
-              std::string::npos);
+    if (first.empty()) first = text;
+    EXPECT_EQ(text, first);
   }
 }
 
 TEST(SimTrace, NoMarkerBelowLimit) {
   const ProcessorConfig config;
   Program program = compile(kQuietProg, config);
-  SimOptions options;
-  options.collect_trace = true;
-  options.trace_limit = 1u << 20;
-  EpicSimulator sim(std::move(program), {}, options);
+  EpicSimulator sim(std::move(program));
+  SimTimeline timeline(sim.config(), 1u << 20);
+  sim.set_timeline(&timeline);
   const SimStats& stats = sim.run();
-  EXPECT_FALSE(stats.trace_truncated);
-  EXPECT_EQ(sim.trace().size(), stats.bundles_issued);
-  EXPECT_EQ(stats.report().find("trace truncated"), std::string::npos);
+  EXPECT_FALSE(timeline.truncated());
+  const std::string text = timeline.to_text(sim.program());
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                std::count(text.begin(), text.end(), '\n')),
+            stats.bundles_issued);
+  EXPECT_EQ(text.find("truncated"), std::string::npos);
 }
 
 // ------------------------------------------- bundle-width histogram range

@@ -145,6 +145,9 @@ TEST(Parser, DeepNestingIsACompileErrorNotACrash) {
   EXPECT_THROW(parse_src("int f() { return " + repeat("1 ? 1 : ", 20000) +
                          "1; }"),
                CompileError);
+  EXPECT_THROW(parse_src("int f() { return " + repeat("1 ? ", 20000) + "1" +
+                         repeat(" : 1", 20000) + "; }"),
+               CompileError);
   EXPECT_THROW(parse_src("int f() " + repeat("{", 20000) + repeat("}", 20000)),
                CompileError);
   // Ordinary depths still parse.
@@ -152,6 +155,46 @@ TEST(Parser, DeepNestingIsACompileErrorNotACrash) {
                             repeat(")", 100) + "; }"));
   EXPECT_NO_THROW(
       parse_src("int f() " + repeat("{", 100) + repeat("}", 100)));
+}
+
+TEST(Parser, LongOperatorChainIsACompileErrorNotACrash) {
+  // A 20k-term sum used to crash (exit 139): the parser builds the
+  // left-deep chain in a loop, then irgen and the AST destructor recurse
+  // down it.
+  const std::string sum =
+      "int main() { int a = 1;\n  return a" + repeat(" + a", 19999) + "; }";
+  try {
+    (void)compile_to_ir(sum);
+    FAIL() << "expected a CompileError";
+  } catch (const CompileError& e) {
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_NE(std::string(e.what()).find("operator chain deeper than 1024 "
+                                         "links"),
+              std::string::npos)
+        << e.what();
+  }
+  // Postfix chains count as well.
+  EXPECT_THROW(parse_src("int f() { int a[2]; return a" +
+                         repeat("[0]", 20000) + "; }"),
+               CompileError);
+  EXPECT_THROW(parse_src("int f() { int a[2]; return a" +
+                         repeat("[0]++", 10000) + "; }"),
+               CompileError);
+  // The budget bounds the height of the tree, not the length of one
+  // chain: 50 nested parentheses, each around a 100-link chain, stack
+  // 5000 links on one path.
+  std::string nested = "a";
+  for (int i = 0; i < 50; ++i) nested = "(" + nested + repeat(" + a", 100) + ")";
+  EXPECT_THROW(parse_src("int f() { int a; return " + nested + "; }"),
+               CompileError);
+  // A chain at the budget compiles, and chains side by side do not add
+  // up.
+  EXPECT_NO_THROW((void)compile_to_ir("int main() { int a = 1; return a" +
+                                      repeat(" + a", 1024) + "; }"));
+  EXPECT_NO_THROW(parse_src("int f(int x, int y) { return x; }\n"
+                            "int g() { int a; return f(a" +
+                            repeat(" * a", 1000) + ", a" +
+                            repeat(" * a", 1000) + "); }"));
 }
 
 }  // namespace

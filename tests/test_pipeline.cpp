@@ -302,7 +302,7 @@ TEST(Service, StoreHitsAcrossProcessesAreByteIdenticalToColdCompiles) {
 
 TEST(Store, VersionTagIsolatesIncompatibleToolchains) {
   const std::string dir = scratch_dir("store_version");
-  const ArtifactId id{Granularity::kLint, 42};
+  const ArtifactId id{Granularity::kIrLint, 42};
   {
     Store a(dir, "vA");
     a.put(id, "blob-from-vA");

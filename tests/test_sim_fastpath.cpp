@@ -38,15 +38,19 @@ struct Observed {
   std::vector<std::uint32_t> preds;
   std::vector<std::uint32_t> btrs;
   std::vector<std::uint8_t> memory;
-  std::vector<std::string> trace;
+  std::string trace;  ///< text trace; empty unless traced
 };
 
+/// With `trace`, a SimTimeline capped at 512 bundles is attached and its
+/// text rendering kept; the threaded tier then runs on the decode tier.
 Observed observe(const Program& program, const CustomOpTable& custom,
                  SimOptions options, ExecTier tier,
-                 unsigned hot_threshold = 8) {
+                 unsigned hot_threshold = 8, bool trace = false) {
   options.exec_tier = tier;
   options.threaded_hot_threshold = hot_threshold;
   EpicSimulator sim(program, custom, options);
+  SimTimeline timeline(sim.config(), 512);
+  if (trace) sim.set_timeline(&timeline);
   Observed o;
   try {
     sim.run();
@@ -59,10 +63,12 @@ Observed observe(const Program& program, const CustomOpTable& custom,
   } catch (const SimError& e) {
     o.error = e.what();
   }
-  // The run-level marker reports the tier that executed (no timeline is
-  // attached here, so Threaded is never pinned).
-  EXPECT_EQ(sim.stats().exec_tier, tier);
-  EXPECT_FALSE(sim.stats().timeline_pinned);
+  // The run-level marker reports the tier that executed: Threaded is
+  // pinned to Decode exactly when a timeline is attached.
+  const ExecTier ran =
+      trace && tier == ExecTier::Threaded ? ExecTier::Decode : tier;
+  EXPECT_EQ(sim.stats().exec_tier, ran);
+  EXPECT_EQ(sim.stats().timeline_pinned, ran != tier);
   o.halted = sim.halted();
   o.stats = sim.stats();
   o.output = sim.output();
@@ -75,9 +81,7 @@ Observed observe(const Program& program, const CustomOpTable& custom,
   for (unsigned i = 0; i < cfg.num_btrs; ++i) o.btrs.push_back(sim.btr(i));
   const auto raw = sim.memory().raw();
   o.memory.assign(raw.begin(), raw.end());
-  for (const TraceEntry& t : sim.trace()) {
-    o.trace.push_back(cat(t.cycle, "@", t.bundle, ": ", t.text));
-  }
+  if (trace) o.trace = timeline.to_text(sim.program());
   return o;
 }
 
@@ -101,15 +105,17 @@ void expect_matches(const Observed& got, const Observed& want,
 }
 
 void expect_identical(const Program& program, const CustomOpTable& custom,
-                      const SimOptions& options) {
-  const Observed interp = observe(program, custom, options, ExecTier::Interp);
-  expect_matches(observe(program, custom, options, ExecTier::Decode), interp,
-                 "decode vs interp");
-  expect_matches(observe(program, custom, options, ExecTier::Threaded),
-                 interp, "threaded(hot=8) vs interp");
+                      const SimOptions& options, bool trace = false) {
+  const Observed interp =
+      observe(program, custom, options, ExecTier::Interp, 8, trace);
+  expect_matches(observe(program, custom, options, ExecTier::Decode, 8, trace),
+                 interp, "decode vs interp");
+  expect_matches(
+      observe(program, custom, options, ExecTier::Threaded, 8, trace), interp,
+      "threaded(hot=8) vs interp");
   expect_matches(
       observe(program, custom, options, ExecTier::Threaded,
-              /*hot_threshold=*/1),
+              /*hot_threshold=*/1, trace),
       interp, "threaded(hot=1, all blocks compiled) vs interp");
 }
 
@@ -167,13 +173,16 @@ TEST(SimFastPath, MoreWorkloadsOnTightAndDefaultConfigs) {
 }
 
 TEST(SimFastPath, TraceOutputIsIdentical) {
+  // The text trace renders the timeline on every tier; a traced
+  // threaded run is pinned to the decode tier.
   const workloads::Workload w = workloads::make_dct(8);
   const auto compiled =
       pipeline::compile_once(w.minic_source, ProcessorConfig{});
-  SimOptions options;
-  options.collect_trace = true;
-  options.trace_limit = 512;
-  expect_identical(compiled, {}, options);
+  const Observed traced =
+      observe(compiled, {}, SimOptions{}, ExecTier::Interp, 8, true);
+  EXPECT_NE(traced.trace.find("[timeline truncated at 512 bundles]"),
+            std::string::npos);
+  expect_identical(compiled, {}, SimOptions{}, /*trace=*/true);
 }
 
 // ---- the fuzz corpus -------------------------------------------------

@@ -306,15 +306,17 @@ TEST(Sim, DataImageLoadsAtDataBase) {
 }
 
 TEST(Sim, TraceCollectsBundles) {
-  SimOptions opts;
-  opts.collect_trace = true;
+  // The text trace is the timeline's issue track: one line per issued
+  // bundle, NOP slots dropped, ops joined with ` || `.
   Program p = make_program(ProcessorConfig{},
                            {{mov(1, I(5)), mov(2, I(6))}, {halt()}});
-  EpicSimulator sim(std::move(p), {}, opts);
+  EpicSimulator sim(std::move(p));
+  SimTimeline timeline(sim.config());
+  sim.set_timeline(&timeline);
   sim.run();
-  ASSERT_EQ(sim.trace().size(), 2u);
-  EXPECT_NE(sim.trace()[0].text.find("mov r1, #5"), std::string::npos);
-  EXPECT_NE(sim.trace()[0].text.find(" || "), std::string::npos);
+  EXPECT_EQ(timeline.to_text(sim.program()),
+            "cycle      0  bundle     0  mov r1, #5 || mov r2, #6\n"
+            "cycle      1  bundle     1  halt\n");
 }
 
 }  // namespace

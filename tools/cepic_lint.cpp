@@ -10,8 +10,9 @@
 // (--config/--grid do not apply: the bundles were laid out for exactly
 // that configuration). Text inputs are classified by extension:
 //   *.mc    MiniC source — compiled through the shared pipeline::Service
-//           (so `--cache DIR` reuses artifacts and lint reports across
-//           runs and tools), then checked for every configuration
+//           (so `--cache DIR` reuses compiled Programs and IR-lint
+//           reports across runs and tools), then checked for every
+//           configuration
 //   *.s     assembly text — assembled for every configuration, then
 //           checked (an assembly-time rejection is reported as a
 //           finding for that configuration)

@@ -124,7 +124,7 @@ void report_trace(const json::Value& doc, unsigned top) {
     }
     std::cout << "\n";
   };
-  for (const char* g : {"ir", "program", "lint"}) {
+  for (const char* g : {"ir", "program", "irlint"}) {
     ratio_line(cat("store.", g).c_str(), counter(cat("store.", g, ".hits")),
                counter(cat("store.", g, ".misses")));
   }

@@ -12,10 +12,10 @@ int main(int argc, char** argv) {
   using namespace cepic;
   return tools::tool_main("cepic-sim", [&]() -> int {
     SimOptions options;
+    bool trace = false;
 
     tools::OptionTable table("cepic-sim <prog.cepx> [options]");
-    table.flag("--trace", "print the per-cycle execution trace",
-               &options.collect_trace);
+    table.flag("--trace", "print the per-cycle execution trace", &trace);
     table.uint64_positive("--max-cycles", "N", "simulation cycle budget",
                           &options.max_cycles);
     tools::add_exec_tier_option(table, &options.exec_tier);
@@ -24,9 +24,10 @@ int main(int argc, char** argv) {
     table.str("--timeline-out", "FILE",
               "write a per-cycle event timeline as Chrome trace JSON",
               &timeline_out);
-    table.uint64_positive("--timeline-limit", "N",
-                          "timeline bundle cap (truncates with a marker)",
-                          &timeline_limit);
+    table.uint64_positive(
+        "--timeline-limit", "N",
+        "bundle cap of the timeline and the trace (truncates with a marker)",
+        &timeline_limit);
     tools::ObsOptions obs_opts;
     tools::add_obs_options(table, &obs_opts);
 
@@ -45,8 +46,10 @@ int main(int argc, char** argv) {
                       "); produce one with cepic-cc or cepic-asm first"));
     }
     EpicSimulator sim(serial::decode_program(bytes), {}, options);
+    // The trace is a rendering of the timeline: either output attaches
+    // it, which runs the simulation on the decode tier.
     SimTimeline timeline(sim.config(), timeline_limit);
-    if (!timeline_out.empty()) sim.set_timeline(&timeline);
+    if (trace || !timeline_out.empty()) sim.set_timeline(&timeline);
     {
       obs::Span span("simulate", "sim");
       sim.run();
@@ -56,12 +59,7 @@ int main(int argc, char** argv) {
       tools::write_file(timeline_out, timeline.to_chrome_json());
     }
 
-    if (options.collect_trace) {
-      for (const TraceEntry& t : sim.trace()) {
-        std::cout << "cycle " << pad_left(cat(t.cycle), 6) << "  bundle "
-                  << pad_left(cat(t.bundle), 5) << "  " << t.text << "\n";
-      }
-    }
+    if (trace) std::cout << timeline.to_text(sim.program());
     std::cout << "output:";
     for (std::uint32_t v : sim.output()) std::cout << " " << v;
     std::cout << "\nreturn value (r3): " << sim.gpr(3) << "\n\n"

@@ -371,10 +371,10 @@ inline void print_cache_stats(const char* tool,
             << " result-hits=" << get("pipeline.result_hits")
             << " result-misses=" << get("pipeline.result_misses")
             << " sim-dedup=" << get("pipeline.sim_dedup_hits")
-            << " lint=" << get("pipeline.lint_runs") << "\n";
+            << " ir-lint=" << get("pipeline.ir_lint_runs") << "\n";
   granularity("ir");
   granularity("program");
-  granularity("lint");
+  granularity("irlint");
 }
 
 }  // namespace cepic::tools
