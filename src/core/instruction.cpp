@@ -5,18 +5,6 @@
 
 namespace cepic {
 
-Instruction Instruction::make(Op op, std::uint32_t d1, Operand s1, Operand s2,
-                              std::uint32_t pred, std::uint32_t d2) {
-  Instruction i;
-  i.op = op;
-  i.dest1 = d1;
-  i.dest2 = d2;
-  i.src1 = s1;
-  i.src2 = s2;
-  i.pred = pred;
-  return i;
-}
-
 namespace {
 
 std::string operand_str(const Operand& o, SrcSpec spec) {

@@ -60,7 +60,16 @@ struct Instruction {
   // --- factories for the common shapes (used heavily in tests) ---
   static Instruction make(Op op, std::uint32_t d1 = 0, Operand s1 = {},
                           Operand s2 = {}, std::uint32_t pred = 0,
-                          std::uint32_t d2 = 0);
+                          std::uint32_t d2 = 0) {
+    Instruction i;
+    i.op = op;
+    i.dest1 = d1;
+    i.dest2 = d2;
+    i.src1 = s1;
+    i.src2 = s2;
+    i.pred = pred;
+    return i;
+  }
   static Instruction nop() { return {}; }
   static Instruction halt() { return make(Op::HALT); }
 };

@@ -3,6 +3,13 @@
 // accesses must be 4-byte aligned. Speculative loads (HPL-PD LDWS) use
 // the *_speculative accessors, which never fault and return 0 instead —
 // exactly the "non-trapping load" EPIC mechanism.
+//
+// The bytes live in one private anonymous mapping, not on the heap: the
+// kernel supplies zero pages on first touch, so construction costs O(1)
+// whatever the size and resident memory grows only with the pages a run
+// writes. A PROT_NONE guard page follows the last page, so a direct
+// access past the end (the threaded tier's probed pointer) faults in
+// every build (docs/SIM.md "Simulator images").
 #pragma once
 
 #include <cstdint>
@@ -16,11 +23,20 @@ namespace cepic {
 class DataMemory {
 public:
   explicit DataMemory(std::size_t size_bytes);
+  ~DataMemory();
+
+  /// Deep copy: a fresh mapping holding the source's written pages.
+  DataMemory(const DataMemory& other);
+  DataMemory& operator=(const DataMemory& other);
+  /// The mapping moves; a moved-from memory has size 0, faults every
+  /// checked access and destructs cleanly.
+  DataMemory(DataMemory&& other) noexcept;
+  DataMemory& operator=(DataMemory&& other) noexcept;
 
   /// Copy an image into memory starting at `base`.
   void load_image(std::uint32_t base, std::span<const std::uint8_t> image);
 
-  std::size_t size() const { return bytes_.size(); }
+  std::size_t size() const { return size_; }
 
   std::uint32_t read_word(std::uint32_t addr) const;
   void write_word(std::uint32_t addr, std::uint32_t value);
@@ -52,23 +68,28 @@ public:
 
   /// Unmanaged image pointer for the threaded tier's probed direct
   /// accesses; see mark_written().
-  std::uint8_t* exec_data() { return bytes_.data(); }
+  std::uint8_t* exec_data() { return bytes_; }
 
   /// Direct image access for loaders and tests. The mutable overload
   /// conservatively marks the whole memory written, because writes
   /// through the span are invisible to the dirty bitmap.
   std::span<std::uint8_t> raw() {
     for (std::uint64_t& w : dirty_) w = ~std::uint64_t{0};
-    return bytes_;
+    return {bytes_, size_};
   }
-  std::span<const std::uint8_t> raw() const { return bytes_; }
+  std::span<const std::uint8_t> raw() const { return {bytes_, size_}; }
 
 private:
   static constexpr unsigned kPageBits = 12;  ///< 4 KiB dirty pages
 
   void check(std::uint32_t addr, unsigned bytes, bool write) const;
+  /// Calls `f(lo, hi)` for each dirty page's byte range, in order.
+  template <typename F>
+  void for_each_dirty_page(F f) const;
+  void unmap();
 
-  std::vector<std::uint8_t> bytes_;
+  std::uint8_t* bytes_ = nullptr;  ///< start of the mapping
+  std::size_t size_ = 0;
   std::vector<std::uint64_t> dirty_;  ///< one bit per page, see reset()
 };
 

@@ -328,6 +328,10 @@ constexpr GuardPair kGuards[] = {
     // stages a cold sweep pays per config are guarded on their own.
     {"BM_Backend/lower", "BM_Frontend", nullptr, 1.6, false},
     {"BM_Backend/schedule", "BM_Frontend", nullptr, 1.6, false},
+    // Starting a simulator on a shared image costs what a run touches:
+    // a zero fill of its data memory would show here as a ratio jump.
+    {"BM_SimStartup/shared_image", "BM_SimStartup/build_image", nullptr, 1.6,
+     false},
     // Compile cost per doubling of a straight-line block, each of 1k ->
     // 2k -> 4k -> 8k statements: linear passes stay near 2x, a quadratic
     // one heads for 4x. time/half is timed against the half-size input

@@ -1,7 +1,11 @@
 #include "pipeline/pipeline.hpp"
 
+#include <bit>
+#include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <sstream>
 
@@ -82,33 +86,47 @@ analysis::LintReport decode_ir_lint(const std::string& blob) {
   return report;
 }
 
+/// One step of program_content_hash: a bijection of the state for a
+/// fixed word and of the word for a fixed state, so two word streams
+/// that differ in one word always hash apart.
+constexpr std::uint64_t fold64(std::uint64_t h, std::uint64_t w) {
+  return (std::rotl(h, 29) ^ w) * 0x9e3779b97f4a7c15ull;
+}
+
+constexpr std::uint64_t pack(std::uint32_t lo, std::uint32_t hi) {
+  return lo | static_cast<std::uint64_t>(hi) << 32;
+}
+
 /// Dedup digest of everything a simulation reads from a Program besides
 /// its config: every instruction's fields, the data image and the entry
-/// bundle. Symbols are left out; no simulator reads them. Computed once
-/// per compile group and combined per point with the sim slice.
+/// bundle. Symbols are left out; no simulator reads them. An in-memory
+/// key only (never persisted), computed once per compile group and
+/// combined per point with the sim slice.
 std::uint64_t program_content_hash(const Program& program) {
-  const std::uint32_t sizes[] = {
-      static_cast<std::uint32_t>(program.code.size()),
-      static_cast<std::uint32_t>(program.data.size()), program.entry_bundle};
-  std::uint64_t h = fnv1a64_words(sizes);
+  std::uint64_t h = fold64(kFnvOffset64, pack(static_cast<std::uint32_t>(
+                                                  program.code.size()),
+                                              program.entry_bundle));
+  h = fold64(h, program.data.size());
   for (const Instruction& i : program.code) {
-    const std::uint32_t fields[] = {
-        static_cast<std::uint32_t>(i.op),
-        i.dest1,
-        i.dest2,
-        static_cast<std::uint32_t>(i.src1.kind),
-        i.src1.reg,
-        static_cast<std::uint32_t>(i.src1.lit),
-        static_cast<std::uint32_t>(i.src2.kind),
-        i.src2.reg,
-        static_cast<std::uint32_t>(i.src2.lit),
-        i.pred};
-    h = fnv1a64_words(fields, h);
+    h = fold64(h, pack(static_cast<std::uint32_t>(i.op) |
+                           static_cast<std::uint32_t>(i.src1.kind) << 16 |
+                           static_cast<std::uint32_t>(i.src2.kind) << 24,
+                       i.pred));
+    h = fold64(h, pack(i.dest1, i.dest2));
+    h = fold64(h, pack(i.src1.reg, static_cast<std::uint32_t>(i.src1.lit)));
+    h = fold64(h, pack(i.src2.reg, static_cast<std::uint32_t>(i.src2.lit)));
   }
-  return fnv1a64(std::string_view(
-                     reinterpret_cast<const char*>(program.data.data()),
-                     program.data.size()),
-                 h);
+  const std::span<const std::uint8_t> data = program.data;
+  std::size_t at = 0;
+  for (; at + 8 <= data.size(); at += 8) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, data.data() + at, 8);
+    h = fold64(h, w);
+  }
+  // The tail, zero-padded: the size folded above tells the two apart.
+  std::uint64_t tail = 0;
+  if (at < data.size()) std::memcpy(&tail, data.data() + at, data.size() - at);
+  return fold64(h, tail);
 }
 
 }  // namespace
@@ -322,9 +340,15 @@ std::vector<RunOutcome> Service::run_batch(
   // key: one compile task per group feeds its simulate tasks.
   std::map<std::uint64_t, std::vector<Item>> groups;
 
-  // Validated once per config; an invalid one fails its whole column.
+  // Per config, once: validation (an invalid one fails its whole
+  // column), its result-cache and sim-slice hashes, and the distinct
+  // codegen slice it compiles against.
   std::vector<std::string> invalid(cols);
+  std::vector<std::uint64_t> config_hashes(cols);
   std::vector<std::uint64_t> sim_hashes(cols);
+  std::vector<std::size_t> slice_of(cols);
+  std::vector<ProcessorConfig> slices;
+  std::map<std::string, std::size_t> slice_index;
   for (std::size_t p = 0; p < cols; ++p) {
     try {
       configs[p].validate();
@@ -332,12 +356,21 @@ std::vector<RunOutcome> Service::run_batch(
       invalid[p] = e.what();
       continue;
     }
+    config_hashes[p] = configs[p].stable_hash();
     sim_hashes[p] = sim_slice(configs[p]).stable_hash();
+    ProcessorConfig slice = codegen_slice(configs[p]);
+    const auto [it, fresh] =
+        slice_index.try_emplace(slice.to_text(), slices.size());
+    if (fresh) slices.push_back(std::move(slice));
+    slice_of[p] = it->second;
   }
 
   for (std::size_t w = 0; w < sources.size(); ++w) {
     const std::uint64_t source_hash =
         fnv1a64(cat(hex64(fnv1a64(sources[w])), ":", hex64(context)));
+    // This source's Program store digest per distinct slice, on first
+    // need: the source is hashed once per slice, not once per point.
+    std::vector<std::optional<std::uint64_t>> digests(slices.size());
     for (std::size_t p = 0; p < cols; ++p) {
       const std::size_t index = w * cols + p;
       RunOutcome& out = outcomes[index];
@@ -345,13 +378,16 @@ std::vector<RunOutcome> Service::run_batch(
         out.error = invalid[p];
         continue;
       }
-      const ResultCache::Key key{source_hash, configs[p].stable_hash()};
+      const ResultCache::Key key{source_hash, config_hashes[p]};
       if (results_.lookup(key, out)) {
         out.from_result_cache = true;
         continue;
       }
-      groups[program_artifact(sources[w], codegen_slice(configs[p])).digest]
-          .push_back(Item{index, w, p, key});
+      std::optional<std::uint64_t>& digest = digests[slice_of[p]];
+      if (!digest) {
+        digest = program_artifact(sources[w], slices[slice_of[p]]).digest;
+      }
+      groups[*digest].push_back(Item{index, w, p, key});
     }
   }
 

@@ -1,6 +1,7 @@
 #include "sim/decode.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "core/eval.hpp"
 
@@ -68,13 +69,33 @@ DecodedSrc decode_src(const Operand& o, SrcSpec spec,
   return out;
 }
 
-DecodedBundle decode_bundle(std::span<const Instruction> bundle,
-                            const Program& program, const Mdes& mdes) {
+/// One bundle's register lists while it is decoded; reused for every
+/// bundle, then appended to DecodedProgram::regs.
+struct RegLists {
+  std::vector<std::uint32_t> gpr;
+  std::vector<std::uint32_t> pred;
+  std::vector<std::uint32_t> btr;
+  std::vector<std::uint32_t> ports;
+};
+
+/// Per-bundle lengths of ops, sb_gpr, sb_pred, sb_btr and port_reads.
+using Counts = std::array<std::uint32_t, 5>;
+
+/// Decode one bundle: appends its ops to `out.ops` and its register
+/// lists to `out.regs`, sets `bundle`'s scalar fields and returns the
+/// lengths its spans get once the arrays are final.
+Counts decode_bundle(std::span<const Instruction> code, const Program& program,
+                     const Mdes& mdes, DecodedProgram& out,
+                     DecodedBundle& bundle, RegLists& lists) {
   const ProcessorConfig& cfg = program.config;
-  DecodedBundle out;
+  lists.gpr.clear();
+  lists.pred.clear();
+  lists.btr.clear();
+  lists.ports.clear();
+  const std::size_t first_op = out.ops.size();
   std::uint8_t pending_nops = 0;
 
-  for (const Instruction& inst : bundle) {
+  for (const Instruction& inst : code) {
     if (inst.is_nop()) {
       ++pending_nops;
       continue;
@@ -102,20 +123,20 @@ DecodedBundle decode_bundle(std::span<const Instruction> bundle,
     }
 
     // ---- Stage-1 static facts: scoreboard sources and §3.2 ports. ----
-    if (inst.pred != 0) push_unique(out.sb_pred, inst.pred);
+    if (inst.pred != 0) push_unique(lists.pred, inst.pred);
     const auto note_src = [&](const DecodedSrc& s) {
       switch (s.kind) {
         case SrcKind::Gpr:
           if (s.reg != 0) {
-            push_unique(out.sb_gpr, s.reg);
-            out.port_reads.push_back(s.reg);
+            push_unique(lists.gpr, s.reg);
+            lists.ports.push_back(s.reg);
           }
           break;
         case SrcKind::Pred:
-          if (s.reg != 0) push_unique(out.sb_pred, s.reg);
+          if (s.reg != 0) push_unique(lists.pred, s.reg);
           break;
         case SrcKind::Btr:
-          push_unique(out.sb_btr, s.reg);
+          push_unique(lists.btr, s.reg);
           break;
         case SrcKind::Zero:
         case SrcKind::Lit:
@@ -125,31 +146,58 @@ DecodedBundle decode_bundle(std::span<const Instruction> bundle,
     note_src(op.src1);
     note_src(op.src2);
     if (info.dest1_is_source && inst.dest1 != 0) {
-      push_unique(out.sb_gpr, inst.dest1);
-      out.port_reads.push_back(inst.dest1);
+      push_unique(lists.gpr, inst.dest1);
+      lists.ports.push_back(inst.dest1);
     }
     if (info.writes_dest1() && info.dest1 == RegFile::Gpr &&
         inst.dest1 != 0) {
-      ++out.write_ports;
+      ++bundle.write_ports;
     }
 
     out.ops.push_back(op);
   }
-  out.nops_trailing = pending_nops;
-  return out;
+  bundle.nops_trailing = pending_nops;
+  for (const std::vector<std::uint32_t>* list :
+       {&lists.gpr, &lists.pred, &lists.btr, &lists.ports}) {
+    out.regs.insert(out.regs.end(), list->begin(), list->end());
+  }
+  const auto len = [](std::size_t n) { return static_cast<std::uint32_t>(n); };
+  return {len(out.ops.size() - first_op), len(lists.gpr.size()),
+          len(lists.pred.size()), len(lists.btr.size()),
+          len(lists.ports.size())};
 }
 
 }  // namespace
 
-std::vector<DecodedBundle> decode_program(const Program& program,
-                                          const Mdes& mdes) {
-  std::vector<DecodedBundle> decoded;
+DecodedProgram decode_program(const Program& program, const Mdes& mdes) {
+  DecodedProgram out;
   const std::size_t bundles = program.bundle_count();
-  decoded.reserve(bundles);
+  out.bundles.resize(bundles);
+  std::vector<Counts> counts(bundles);
+  RegLists lists;
   for (std::uint32_t pc = 0; pc < bundles; ++pc) {
-    decoded.push_back(decode_bundle(program.bundle(pc), program, mdes));
+    counts[pc] = decode_bundle(program.bundle(pc), program, mdes, out,
+                               out.bundles[pc], lists);
   }
-  return decoded;
+  // The arrays are final: point every bundle's spans into them.
+  const DecodedOp* op = out.ops.data();
+  const std::uint32_t* reg = out.regs.data();
+  const auto take = [&reg](std::uint32_t n) {
+    const std::span<const std::uint32_t> list(reg, n);
+    reg += n;
+    return list;
+  };
+  for (std::size_t pc = 0; pc < bundles; ++pc) {
+    DecodedBundle& b = out.bundles[pc];
+    const Counts& c = counts[pc];
+    b.ops = {op, c[0]};
+    op += c[0];
+    b.sb_gpr = take(c[1]);
+    b.sb_pred = take(c[2]);
+    b.sb_btr = take(c[3]);
+    b.port_reads = take(c[4]);
+  }
+  return out;
 }
 
 }  // namespace cepic

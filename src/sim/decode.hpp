@@ -13,9 +13,15 @@
 // differentially). Every register index is in range by the time a
 // program is decoded: SimImage refuses any program with an
 // out-of-range index first (register_range_fault).
+//
+// The decoded form is flat: every bundle's ops sit in one array and
+// every bundle's register lists in another, and a DecodedBundle is a set
+// of spans into them. Decoding a program costs a handful of allocations
+// however many bundles it has (docs/SIM.md "Simulator images").
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/isa.hpp"
@@ -75,26 +81,42 @@ struct DecodedOp {
   const OpInfo* info = nullptr;
 };
 
+/// One bundle's view into its DecodedProgram's arrays.
 struct DecodedBundle {
   std::uint8_t nops_trailing = 0;  ///< NOP slots after the last decoded op
   /// Static GPR write-port demand of the bundle (§3.2).
   unsigned write_ports = 0;
-  std::vector<DecodedOp> ops;  ///< non-NOP slots, in slot order
+  std::span<const DecodedOp> ops;  ///< non-NOP slots, in slot order
 
   // Scoreboard source lists (deduplicated; index 0 entries dropped —
   // they are always ready).
-  std::vector<std::uint32_t> sb_gpr;
-  std::vector<std::uint32_t> sb_pred;
-  std::vector<std::uint32_t> sb_btr;
+  std::span<const std::uint32_t> sb_gpr;
+  std::span<const std::uint32_t> sb_pred;
+  std::span<const std::uint32_t> sb_btr;
 
   /// GPR port-read candidates for the §3.2 budget fixed point:
   /// register indices (duplicates preserved — each read costs a port)
   /// that need a port unless forwarding satisfies them.
-  std::vector<std::uint32_t> port_reads;
+  std::span<const std::uint32_t> port_reads;
+};
+
+/// Every bundle of a program, decoded. The bundles' spans point into
+/// `ops` and `regs`, so it is move-only: a move keeps the arrays'
+/// buffers, a copy would leave the spans pointing at the source.
+struct DecodedProgram {
+  DecodedProgram() = default;
+  DecodedProgram(const DecodedProgram&) = delete;
+  DecodedProgram& operator=(const DecodedProgram&) = delete;
+  DecodedProgram(DecodedProgram&&) = default;
+  DecodedProgram& operator=(DecodedProgram&&) = default;
+
+  std::vector<DecodedBundle> bundles;  ///< one per bundle
+  std::vector<DecodedOp> ops;          ///< every bundle's ops, in order
+  /// Every bundle's sb_gpr, sb_pred, sb_btr and port_reads, in order.
+  std::vector<std::uint32_t> regs;
 };
 
 /// Lower every bundle of `program` against `mdes`.
-std::vector<DecodedBundle> decode_program(const Program& program,
-                                          const Mdes& mdes);
+DecodedProgram decode_program(const Program& program, const Mdes& mdes);
 
 }  // namespace cepic

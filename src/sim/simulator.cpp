@@ -59,10 +59,10 @@ SimImage::SimImage(Program program_in, CustomOpTable custom_in)
     }
   }
   decoded = decode_program(program, mdes);
-  for (const DecodedBundle& b : decoded) {
-    for (const DecodedOp& op : b.ops) {
-      max_latency = std::max<std::uint64_t>(max_latency, op.latency);
-    }
+  for (const DecodedOp& op : decoded.ops) {
+    max_latency = std::max<std::uint64_t>(max_latency, op.latency);
+  }
+  for (const DecodedBundle& b : decoded.bundles) {
     max_port_demand = std::max<std::uint64_t>(
         max_port_demand, b.write_ports + b.port_reads.size());
   }
@@ -94,7 +94,7 @@ void EpicSimulator::start() {
                        first_difference(config_, image_->program.config)));
   }
   custom_ = &image_->custom;
-  decoded_ = image_->decoded.data();
+  decoded_ = image_->decoded.bundles.data();
   width_ = config_.datapath_width;
   fwd_ = image_->mdes.forwarding();
   port_budget_ = image_->mdes.reg_port_budget();

@@ -74,14 +74,17 @@ struct SimImage {
   /// semantics for every config-enabled custom op `custom` lacks and
   /// decodes every bundle against the Mdes.
   SimImage(Program program, CustomOpTable custom);
+  /// `decoded`'s bundles point into its own arrays.
+  SimImage(const SimImage&) = delete;
+  SimImage& operator=(const SimImage&) = delete;
 
   Program program;
   CustomOpTable custom;
   /// Built from `custom` as the caller supplied it, before the builtins
   /// are installed (custom-op latencies come from the caller's table).
   Mdes mdes;
-  /// One entry per bundle (sim/decode.hpp).
-  std::vector<DecodedBundle> decoded;
+  /// One entry per bundle, in flat arrays (sim/decode.hpp).
+  DecodedProgram decoded;
   /// Whole-program facts behind ThreadedCache::advance_bound: the
   /// largest result latency and the largest static §3.2 port demand
   /// (writes + reads) of any bundle.
@@ -213,7 +216,7 @@ private:
   ProcessorConfig config_;
   SimOptions options_;
   const CustomOpTable* custom_ = nullptr;  ///< &image_->custom, hoisted
-  /// image_->decoded.data(), hoisted.
+  /// image_->decoded.bundles.data(), hoisted.
   const DecodedBundle* decoded_ = nullptr;
   unsigned width_ = 32;
   bool fwd_ = true;           ///< image mdes forwarding(), hoisted

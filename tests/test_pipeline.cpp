@@ -572,6 +572,72 @@ TEST(Service, IdenticalProgramsAcrossCompileGroupsSimulateOnce) {
   }
 }
 
+TEST(Service, ProgramsThatDifferInOneLiteralBothSimulate) {
+  // The dedup key must see every literal: these two compile to Programs
+  // that differ only where 1234 and 1235 are materialised.
+  const std::string a = "int main() { out(1234); return 0; }";
+  const std::string b = "int main() { out(1235); return 0; }";
+  for (const unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE(jobs);
+    Options options;
+    options.jobs = jobs;
+    Service service(options);
+    const auto outcomes = service.run_batch({a, b}, {ProcessorConfig{}});
+    ASSERT_EQ(outcomes.size(), 2u);
+    ASSERT_TRUE(outcomes[0].ok) << outcomes[0].error;
+    ASSERT_TRUE(outcomes[1].ok) << outcomes[1].error;
+    EXPECT_EQ(service.stats().simulations, 2u);
+    EXPECT_EQ(service.stats().sim_dedup_hits, 0u);
+    EXPECT_NE(outcomes[0].output_hash, outcomes[1].output_hash);
+  }
+}
+
+TEST(Service, SimOnlyGridCompilesOncePerSourceAndSliceThenNeverWarm) {
+  // 2 sources x 2 codegen slices x 4 sim-only variants: 4 compile
+  // groups cold, and a warm store serves all of them.
+  const std::string dir = scratch_dir("slice_keys");
+  const std::vector<std::string> sources{kProg, kProg2};
+  std::vector<ProcessorConfig> configs;
+  for (unsigned alus = 1; alus <= 2; ++alus) {
+    for (unsigned stages = 2; stages <= 3; ++stages) {
+      for (const bool contention : {false, true}) {
+        ProcessorConfig cfg;
+        cfg.num_alus = alus;
+        cfg.pipeline_stages = stages;
+        cfg.unified_memory_contention = contention;
+        configs.push_back(cfg);
+      }
+    }
+  }
+  Options options;
+  options.store_dir = dir;
+  options.jobs = 2;
+  std::vector<RunOutcome> cold;
+  {
+    Service service(options);
+    cold = service.run_batch(sources, configs);
+    EXPECT_EQ(service.stats().frontend_runs, 2u);
+    EXPECT_EQ(service.stats().backend_runs, 4u);
+    EXPECT_EQ(service.stats().store.program.misses, 4u);
+  }
+  // A fresh result file, so the warm run simulates every point again.
+  options.result_cache_file = dir + "/other-results.cache";
+  Service warm(options);
+  const std::vector<RunOutcome> again = warm.run_batch(sources, configs);
+  const ServiceStats stats = warm.stats();
+  EXPECT_EQ(stats.compiles(), 0u);
+  EXPECT_EQ(stats.store.program.hits, 4u);
+  EXPECT_EQ(stats.store.program.misses, 0u);
+  EXPECT_EQ(stats.result_hits, 0u);
+  ASSERT_EQ(again.size(), cold.size());
+  for (std::size_t i = 0; i < cold.size(); ++i) {
+    ASSERT_TRUE(cold[i].ok) << cold[i].error;
+    EXPECT_FALSE(again[i].from_result_cache) << i;
+    expect_same_outcome(again[i], cold[i], i);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Service, FailingSourceFailsOnceAndSparesTheBatch) {
   // A source that does not parse, in four compile groups at jobs 4: its
   // IR build fails once and every group rethrows the stored error,

@@ -328,6 +328,34 @@ TEST(Bench, BackendStageCeilingGuards) {
       find_check(lost_checks, "BM_Backend/schedule/BM_Frontend (time)")->ok);
 }
 
+TEST(Bench, SimStartupCeilingGuard) {
+  // Starting on a shared image is bounded at 1.6x its committed ratio to
+  // building a private one.
+  auto startup_run = [](std::string label, double shared_ns) {
+    report::BenchRun run;
+    run.label = std::move(label);
+    run.benchmarks["BM_SimStartup/shared_image"].real_time_ns = shared_ns;
+    run.benchmarks["BM_SimStartup/build_image"].real_time_ns = 1000;
+    return run;
+  };
+  // Baseline ratio 0.02; ceiling 0.032.
+  const std::vector<report::BenchRun> history = {startup_run("base", 20)};
+  const char* name =
+      "BM_SimStartup/shared_image/BM_SimStartup/build_image (time)";
+  const std::vector<report::RatioCheck> ok_checks =
+      report::check_ratios(history, startup_run("fresh", 30));
+  const report::RatioCheck* ok_check = find_check(ok_checks, name);
+  ASSERT_NE(ok_check, nullptr);
+  EXPECT_EQ(ok_check->baseline_label, "base");
+  EXPECT_FALSE(ok_check->is_floor);
+  EXPECT_DOUBLE_EQ(ok_check->limit, 0.032);
+  EXPECT_TRUE(ok_check->ok);
+  // A start-up that zero-fills its memory again reads ~10x.
+  const std::vector<report::RatioCheck> bad_checks =
+      report::check_ratios(history, startup_run("fresh", 200));
+  EXPECT_FALSE(find_check(bad_checks, name)->ok);
+}
+
 TEST(Bench, ScalingGuardBoundsEveryDoubling) {
   // Each size's "time/half" counter is its own time over its half-size
   // input's; the guard bounds every doubling, with no baseline needed.

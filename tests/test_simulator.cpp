@@ -1,6 +1,11 @@
 // Functional tests of the EPIC simulator: operation semantics, MultiOp
-// read-before-write, predication, branching, memory, custom ops, faults.
+// read-before-write, predication, branching, memory, custom ops, faults,
+// and the data memory's lazily zeroed mapping.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
@@ -317,6 +322,107 @@ TEST(Sim, TraceCollectsBundles) {
   EXPECT_EQ(timeline.to_text(sim.program()),
             "cycle      0  bundle     0  mov r1, #5 || mov r2, #6\n"
             "cycle      1  bundle     1  halt\n");
+}
+
+// ------------------------------------------------------- data memory
+
+/// Pages of `mem` the kernel has backed so far (mincore over its
+/// mapping, which starts page-aligned at exec_data()).
+std::size_t resident_pages(DataMemory& mem) {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> vec((mem.size() + page - 1) / page);
+  EXPECT_EQ(mincore(mem.exec_data(), mem.size(), vec.data()), 0);
+  return static_cast<std::size_t>(std::count_if(
+      vec.begin(), vec.end(), [](unsigned char v) { return (v & 1) != 0; }));
+}
+
+constexpr std::size_t kFourMiB = std::size_t{1} << 22;
+
+TEST(Memory, FreshMemoryReadsZeroAtEveryPageEdge) {
+  const DataMemory mem(kFourMiB);
+  for (std::size_t lo = 0; lo < mem.size(); lo += 4096) {
+    const auto first = static_cast<std::uint32_t>(std::max<std::size_t>(lo, kDataBase));
+    const auto last = static_cast<std::uint32_t>(lo + 4095);
+    ASSERT_EQ(mem.read_byte(first), 0u) << first;
+    ASSERT_EQ(mem.read_byte(last), 0u) << last;
+    ASSERT_EQ(mem.read_word(last - 3), 0u) << last;
+  }
+  EXPECT_THROW((void)mem.read_byte(static_cast<std::uint32_t>(kFourMiB)),
+               SimError);
+  EXPECT_EQ(mem.read_word_speculative(static_cast<std::uint32_t>(kFourMiB)),
+            0u);
+}
+
+TEST(Memory, ConstructionWritesNoPage) {
+  // 4 MiB of zeroes cost nothing until a run writes them.
+  DataMemory mem(kFourMiB);
+  EXPECT_EQ(resident_pages(mem), 0u);
+  mem.write_byte(kDataBase, 1);
+  mem.write_word(static_cast<std::uint32_t>(kFourMiB - 4), 2);
+  EXPECT_EQ(resident_pages(mem), 2u);
+
+  // A simulator's start-up touches only the pages of its data image.
+  Program p = make_program(ProcessorConfig{}, {{halt()}});
+  p.data.assign(5000, 0x5a);  // kDataBase + 5000 spans two pages
+  EpicSimulator sim(std::move(p));
+  EXPECT_EQ(resident_pages(sim.memory()), 2u);
+}
+
+TEST(Memory, ResetRezeroesExactlyTheScatteredWrites) {
+  DataMemory mem(std::size_t{1} << 20);
+  const std::uint32_t words[] = {kDataBase, 3 * 4096 + 16, 100 * 4096 + 4092,
+                                 (1u << 20) - 4};
+  for (const std::uint32_t a : words) mem.write_word(a, 0xa5a5a5a5u ^ a);
+  mem.write_byte(200 * 4096 - 1, 0x77);  // the last byte of a page
+  mem.exec_data()[57 * 4096 + 9] = 0x33;  // a direct store, as the
+  mem.mark_written(57 * 4096 + 9, 1);     // threaded tier makes them
+  const std::size_t written = resident_pages(mem);
+  EXPECT_EQ(written, 6u);
+
+  mem.reset();
+  // reset() wrote only the dirty pages: no clean page was touched.
+  EXPECT_EQ(resident_pages(mem), written);
+  const DataMemory& view = mem;
+  const std::span<const std::uint8_t> bytes = view.raw();
+  for (std::size_t a = 0; a < bytes.size(); ++a) {
+    ASSERT_EQ(bytes[a], 0u) << "address " << a;
+  }
+}
+
+TEST(Memory, CopyIsDeepAndAMovedFromMemoryIsEmpty) {
+  DataMemory a(std::size_t{1} << 16);
+  a.write_word(kDataBase, 0x01020304u);
+  a.write_byte(60000, 7);
+
+  DataMemory b(a);
+  EXPECT_EQ(b.size(), a.size());
+  a.write_word(kDataBase, 0);
+  EXPECT_EQ(b.read_word(kDataBase), 0x01020304u);
+  EXPECT_EQ(b.read_byte(60000), 7u);
+  b.reset();  // the copy carries the dirty map too
+  EXPECT_EQ(b.read_byte(60000), 0u);
+  EXPECT_EQ(b.read_word(kDataBase), 0u);
+
+  DataMemory c(4096);
+  c = a;
+  EXPECT_EQ(c.size(), a.size());
+  EXPECT_EQ(c.read_byte(60000), 7u);
+
+  DataMemory d(std::move(a));
+  EXPECT_EQ(d.read_byte(60000), 7u);
+  EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_THROW((void)a.read_word(kDataBase), SimError);
+  a.reset();
+  c = std::move(d);
+  EXPECT_EQ(c.read_byte(60000), 7u);
+  const DataMemory e(d);  // a copy of a moved-from memory is empty too
+  EXPECT_EQ(e.size(), 0u);
+}
+
+TEST(Memory, GuardPageFaultsAnOverrun) {
+  DataMemory mem(kFourMiB);
+  std::uint8_t* const end = mem.exec_data() + mem.size();
+  EXPECT_DEATH(*static_cast<volatile std::uint8_t*>(end) = 1, "");
 }
 
 }  // namespace
