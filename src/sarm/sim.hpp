@@ -9,6 +9,7 @@
 //     instruction; this models the shift-subtract library routine).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -38,13 +39,17 @@ struct SarmOptionsSim {
   unsigned taken_branch_penalty = 2;
 };
 
+/// Runs a linked SProgram. The code is decoded once, at construction,
+/// into flat records; construction rejects a register field above r15
+/// and a shift amount above 31 with a SimError naming the instruction.
 class SarmSimulator {
 public:
   explicit SarmSimulator(SProgram program, SarmOptionsSim options = {});
 
   void reset();
-  const SarmStats& run();  ///< until HALT; throws SimError on faults
-  bool step();
+  /// Runs until HALT; throws SimError on faults, with stats() counting
+  /// up to the faulting instruction.
+  const SarmStats& run();
 
   std::uint32_t reg(unsigned i) const;
   void set_reg(unsigned i, std::uint32_t v);
@@ -54,22 +59,43 @@ public:
   bool halted() const { return halted_; }
 
 private:
-  struct Flags {
-    bool n = false, z = false, c = false, v = false;
+  /// One instruction as run() executes it.
+  struct Decoded {
+    /// Immediate second operand (0 for a register one), or the branch
+    /// target of B/BL.
+    std::uint32_t value = 0;
+    /// Bit f set: the condition passes when the NZCV nibble equals f.
+    std::uint16_t cond_mask = 0;
+    /// Registers the load-use interlock checks, one bit each.
+    std::uint16_t reads = 0;
+    SOp op = SOp::Mov;
+    std::uint8_t rd = 0;
+    std::uint8_t rn = 0;
+    /// Second-operand register; kZeroReg for an immediate.
+    std::uint8_t rm = 0;
+    /// The barrel shifter as three shifts in a row, at most one nonzero:
+    /// op2 = (u32)((s32)(r[rm] << lsl) >> asr) >> lsr, then + value.
+    std::uint8_t lsl = 0;
+    std::uint8_t asr = 0;
+    std::uint8_t lsr = 0;
+    /// 1 for B/BL/BX: counts a not-taken branch when the condition fails.
+    std::uint8_t branch = 0;
   };
+  /// The register slot an immediate operand reads: always zero.
+  static constexpr unsigned kZeroReg = kNumRegs;
 
-  bool cond_passes(Cond cond) const;
-  std::uint32_t eval_op2(const Operand2& op2) const;
-
-  SProgram program_;
+  std::vector<Decoded> code_;
+  std::vector<std::uint8_t> data_;
+  std::uint32_t entry_ = 0;
   SarmOptionsSim options_;
-  std::vector<std::uint32_t> regs_;
-  Flags flags_;
+  std::array<std::uint32_t, kNumRegs + 1> regs_{};
+  std::uint8_t nzcv_ = 0;  ///< N=8, Z=4, C=2, V=1
   DataMemory mem_;
   std::uint32_t pc_ = 0;
   bool halted_ = false;
-  std::uint32_t last_load_reg_ = 0;
-  bool last_was_load_ = false;
+  /// The register the previous instruction loaded, as a bit; 0 when it
+  /// was not a load.
+  std::uint16_t load_mask_ = 0;
   std::vector<std::uint32_t> output_;
   SarmStats stats_;
 };
