@@ -135,7 +135,9 @@ std::vector<BenchRun> parse_history(const json::Value& doc);
 /// One enforced ratio guard (see check_ratios).
 struct RatioCheck {
   std::string name;            ///< e.g. "BM_EpicSimulator/BM_EpicSimulatorLegacy"
-  std::string baseline_label;  ///< empty: no committed baseline, skipped
+  /// The baseline run's label, or "median of a, b, c" (oldest first);
+  /// empty: no committed baseline, skipped.
+  std::string baseline_label;
   double baseline = 0;
   double fresh = 0;
   double limit = 0;
@@ -144,10 +146,12 @@ struct RatioCheck {
   bool ok = true;
 };
 
-/// The perf-smoke gate: the within-process execution-tier sim_cycles/s
-/// ratios must stay above 0.75x the last committed baseline carrying
-/// both benchmarks, and the BM_Optimize/BM_Frontend and
-/// BM_EpicBackend/BM_Frontend wall-time ratios below 1.6x. Fixed guards
+/// The perf-smoke gate: the within-process execution-tier and SA-110
+/// sim_cycles/s ratios must stay above 0.75x their baseline, and the
+/// BM_Optimize/BM_Frontend and
+/// BM_EpicBackend/BM_Frontend wall-time ratios below 1.6x. A pair's
+/// baseline is the median of its ratio over the last three committed
+/// release runs carrying both benchmarks. Fixed guards
 /// need no baseline: BM_CompileScaling (whole compile, schedule/ and
 /// copy_propagate/) at 2k, 4k and 8k statements may cost at most 2.2x
 /// its half-size input (its "time/half" counter is fresh, limit 2.2).
