@@ -346,11 +346,14 @@ void BM_BinaryRoundtrip(benchmark::State& state) {
 }
 BENCHMARK(BM_BinaryRoundtrip);
 
-// Default options: the threaded-code tier (blocks compile during the
-// first iterations and are reused by every later run).
-void BM_EpicSimulator(benchmark::State& state) {
-  const auto& w = dct_workload();
-  EpicSimulator sim(pipeline::compile_once(w.minic_source, ProcessorConfig{}));
+/// Runs `program` to completion once per iteration on a simulator
+/// that lives across iterations (threaded blocks compile during the
+/// first iterations and are reused by every later run).
+void simulate(benchmark::State& state, const Program& program,
+              ExecTier tier) {
+  SimOptions options;
+  options.exec_tier = tier;
+  EpicSimulator sim(program, {}, options);
   std::uint64_t cycles = 0;
   for (auto _ : state) {
     sim.reset();
@@ -360,43 +363,43 @@ void BM_EpicSimulator(benchmark::State& state) {
   state.counters["sim_cycles/s"] = benchmark::Counter(
       static_cast<double>(cycles), benchmark::Counter::kIsRate);
 }
+
+// Default options: the threaded-code tier.
+void BM_EpicSimulator(benchmark::State& state) {
+  simulate(state,
+           pipeline::compile_once(dct_workload().minic_source,
+                                  ProcessorConfig{}),
+           ExecTier::Threaded);
+}
 BENCHMARK(BM_EpicSimulator);
+
+// The threaded tier on AES (about 1 ms an iteration): long straight-line
+// rounds, where compiling away per-bundle timing work pays most (CI
+// perf-smoke floors its ratio to the decode tier).
+void BM_EpicSimulatorAes(benchmark::State& state) {
+  static const workloads::Workload aes = workloads::make_aes(4);
+  simulate(state, pipeline::compile_once(aes.minic_source, ProcessorConfig{}),
+           ExecTier::Threaded);
+}
+BENCHMARK(BM_EpicSimulatorAes)->Name("BM_EpicSimulator/aes");
 
 // The pre-decoded fast path on its own: the baseline the threaded
 // tier's speedup is measured against (CI perf-smoke guards the ratio).
 void BM_EpicSimulatorDecode(benchmark::State& state) {
-  const auto& w = dct_workload();
-  SimOptions options;
-  options.exec_tier = ExecTier::Decode;
-  EpicSimulator sim(pipeline::compile_once(w.minic_source, ProcessorConfig{}),
-                    {}, options);
-  std::uint64_t cycles = 0;
-  for (auto _ : state) {
-    sim.reset();
-    sim.run();
-    cycles += sim.stats().cycles;
-  }
-  state.counters["sim_cycles/s"] = benchmark::Counter(
-      static_cast<double>(cycles), benchmark::Counter::kIsRate);
+  simulate(state,
+           pipeline::compile_once(dct_workload().minic_source,
+                                  ProcessorConfig{}),
+           ExecTier::Decode);
 }
 BENCHMARK(BM_EpicSimulatorDecode);
 
 // The interpretive decode-every-cycle path: keeps the faster tiers'
 // speedup honest in the recorded history.
 void BM_EpicSimulatorLegacy(benchmark::State& state) {
-  const auto& w = dct_workload();
-  SimOptions options;
-  options.exec_tier = ExecTier::Interp;
-  EpicSimulator sim(pipeline::compile_once(w.minic_source, ProcessorConfig{}),
-                    {}, options);
-  std::uint64_t cycles = 0;
-  for (auto _ : state) {
-    sim.reset();
-    sim.run();
-    cycles += sim.stats().cycles;
-  }
-  state.counters["sim_cycles/s"] = benchmark::Counter(
-      static_cast<double>(cycles), benchmark::Counter::kIsRate);
+  simulate(state,
+           pipeline::compile_once(dct_workload().minic_source,
+                                  ProcessorConfig{}),
+           ExecTier::Interp);
 }
 BENCHMARK(BM_EpicSimulatorLegacy);
 

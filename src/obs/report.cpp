@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 
 #include "support/error.hpp"
 #include "support/text.hpp"
@@ -322,6 +323,10 @@ constexpr GuardPair kGuards[] = {
      true},
     {"BM_EpicSimulator", "BM_EpicSimulatorDecode", "sim_cycles/s", 0.75,
      true},
+    // The threaded tier on AES, where static timing (elided scoreboard
+    // reads, folded bundle boundaries) pays most.
+    {"BM_EpicSimulator/aes", "BM_EpicSimulatorDecode", "sim_cycles/s", 0.75,
+     true},
     // The SA-110 baseline simulator, against the EPIC decode tier.
     {"BM_SarmSimulator", "BM_EpicSimulatorDecode", "sim_cycles/s", 0.75,
      true},
@@ -397,61 +402,88 @@ bool pair_ratio(const BenchRun& run, const GuardPair& guard, double* out) {
   return true;
 }
 
+/// One guard of `fresh` against the baselines in `history`.
+RatioCheck check_guard(const GuardPair& guard,
+                       std::span<const BenchRun> history,
+                       const BenchRun& fresh) {
+  RatioCheck check;
+  check.fresh_label = fresh.label;
+  check.is_floor = guard.is_floor;
+  check.fixed = guard.denominator == nullptr;
+  if (check.fixed) {
+    // Host-independent on its own: no baseline, and a fresh run that
+    // lacks the counter skips it.
+    check.name = cat(guard.numerator, " (", guard.counter, ")");
+    if (own_counter(fresh, guard, &check.fresh)) {
+      check.baseline_label = "fixed bound";
+      check.limit = guard.factor;
+      check.ok = guard.is_floor ? check.fresh >= check.limit
+                                : check.fresh <= check.limit;
+    }
+    return check;
+  }
+  check.name = cat(guard.numerator, "/", guard.denominator,
+                   guard.counter == nullptr ? " (time)" : "");
+  // The baseline is the median ratio over the last kBaselineRuns
+  // committed release-build runs carrying both benchmarks (older
+  // history may predate a benchmark), so no one noisy record sets it.
+  std::vector<double> ratios;
+  std::string labels;  // oldest first
+  for (auto it = history.rbegin();
+       it != history.rend() && ratios.size() < kBaselineRuns; ++it) {
+    double ratio = 0;
+    if (it->release_eligible() && pair_ratio(*it, guard, &ratio)) {
+      ratios.push_back(ratio);
+      labels = labels.empty() ? it->label : cat(it->label, ", ", labels);
+    }
+  }
+  if (ratios.empty()) return check;  // no baseline yet: skipped, ok
+  check.baseline = median(ratios);
+  check.baseline_label =
+      ratios.size() == 1 ? labels : cat("median of ", labels);
+  check.limit = guard.factor * check.baseline;
+  if (!pair_ratio(fresh, guard, &check.fresh)) {
+    check.ok = false;  // baseline exists but the fresh run lost a side
+    return check;
+  }
+  check.ok = guard.is_floor ? check.fresh >= check.limit
+                            : check.fresh <= check.limit;
+  return check;
+}
+
 }  // namespace
 
 std::vector<RatioCheck> check_ratios(const std::vector<BenchRun>& history,
                                      const BenchRun& fresh) {
   std::vector<RatioCheck> out;
   for (const GuardPair& guard : kGuards) {
-    RatioCheck check;
-    check.is_floor = guard.is_floor;
-    check.fixed = guard.denominator == nullptr;
-    if (check.fixed) {
-      // Host-independent on its own: no baseline, and a fresh run that
-      // lacks the counter skips it.
-      check.name = cat(guard.numerator, " (", guard.counter, ")");
-      if (own_counter(fresh, guard, &check.fresh)) {
-        check.baseline_label = "fixed bound";
-        check.limit = guard.factor;
-        check.ok = guard.is_floor ? check.fresh >= check.limit
-                                  : check.fresh <= check.limit;
+    out.push_back(check_guard(guard, history, fresh));
+  }
+  return out;
+}
+
+std::vector<RatioCheck> audit_ratios(const std::vector<BenchRun>& history) {
+  std::vector<RatioCheck> out;
+  for (const GuardPair& guard : kGuards) {
+    // The guard's newest release record that carries what it reads.
+    std::size_t at = history.size();
+    while (at > 0) {
+      const BenchRun& run = history[at - 1];
+      double unused = 0;
+      if (run.release_eligible() &&
+          (guard.denominator == nullptr ? own_counter(run, guard, &unused)
+                                        : pair_ratio(run, guard, &unused))) {
+        break;
       }
-      out.push_back(std::move(check));
+      --at;
+    }
+    if (at == 0) {  // no record carries it: skipped, like a lost pair
+      out.push_back(check_guard(guard, {}, BenchRun{}));
       continue;
     }
-    check.name = cat(guard.numerator, "/", guard.denominator,
-                     guard.counter == nullptr ? " (time)" : "");
-    // The baseline is the median ratio over the last kBaselineRuns
-    // committed release-build runs carrying both benchmarks (older
-    // history may predate a benchmark), so no one noisy record sets it.
-    std::vector<double> ratios;
-    std::string labels;  // oldest first
-    for (auto it = history.rbegin();
-         it != history.rend() && ratios.size() < kBaselineRuns; ++it) {
-      double ratio = 0;
-      if (it->release_eligible() && pair_ratio(*it, guard, &ratio)) {
-        ratios.push_back(ratio);
-        labels = labels.empty() ? it->label : cat(it->label, ", ", labels);
-      }
-    }
-    if (!ratios.empty()) {
-      check.baseline = median(ratios);
-      check.baseline_label =
-          ratios.size() == 1 ? labels : cat("median of ", labels);
-    }
-    if (check.baseline_label.empty()) {
-      out.push_back(std::move(check));  // no baseline yet: skipped, ok
-      continue;
-    }
-    check.limit = guard.factor * check.baseline;
-    if (!pair_ratio(fresh, guard, &check.fresh)) {
-      check.ok = false;  // baseline exists but the fresh run lost a side
-      out.push_back(std::move(check));
-      continue;
-    }
-    check.ok = guard.is_floor ? check.fresh >= check.limit
-                              : check.fresh <= check.limit;
-    out.push_back(std::move(check));
+    out.push_back(check_guard(
+        guard, std::span<const BenchRun>(history.data(), at - 1),
+        history[at - 1]));
   }
   return out;
 }

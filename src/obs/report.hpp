@@ -135,6 +135,7 @@ std::vector<BenchRun> parse_history(const json::Value& doc);
 /// One enforced ratio guard (see check_ratios).
 struct RatioCheck {
   std::string name;            ///< e.g. "BM_EpicSimulator/BM_EpicSimulatorLegacy"
+  std::string fresh_label;     ///< label of the run checked
   /// The baseline run's label, or "median of a, b, c" (oldest first);
   /// empty: no committed baseline, skipped.
   std::string baseline_label;
@@ -155,12 +156,20 @@ struct RatioCheck {
 /// need no baseline: BM_CompileScaling (whole compile, schedule/ and
 /// copy_propagate/) at 2k, 4k and 8k statements may cost at most 2.2x
 /// its half-size input (its "time/half" counter is fresh, limit 2.2).
-/// `fresh` is typically a freshly recorded run; pass the history's own
-/// last run to audit the committed trajectory. Pairs with no baseline
+/// `fresh` is typically a freshly recorded run (audit_ratios below
+/// audits the committed trajectory itself). Pairs with no baseline
 /// (or missing from `fresh`) are reported with an empty baseline_label /
 /// fresh of 0 and ok == true (skipped), except that a pair present in
 /// the baseline but missing from `fresh` fails.
 std::vector<RatioCheck> check_ratios(const std::vector<BenchRun>& history,
                                      const BenchRun& fresh);
+
+/// Audits the committed trajectory itself: each guard checks the
+/// newest release-eligible record that carries what it reads (both
+/// benchmarks of a pair, or a fixed guard's counter) against baselines
+/// from the records before that one. A partial last record thus audits
+/// only the guards it carries; the others fall back to older records.
+/// A guard no record carries is skipped (empty baseline_label).
+std::vector<RatioCheck> audit_ratios(const std::vector<BenchRun>& history);
 
 }  // namespace cepic::obs::report

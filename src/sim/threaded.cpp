@@ -5,6 +5,7 @@
 // step_decoded_impl / finish_step in sim/simulator.cpp.
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "core/eval.hpp"
@@ -81,6 +82,15 @@ void writes_of(const DecodedOp& op, std::vector<RegRef>& writes) {
       break;
   }
 }
+
+/// exec_block counts bundle widths in one 64-bit accumulator: a 9-bit
+/// lane per width 0..6 (lanes are flushed at least every 256 bundles,
+/// below 2^9). A wider bundle, beyond any validated issue width, runs
+/// through the per-bundle fallback.
+constexpr unsigned kHistLaneBits = 9;
+constexpr unsigned kHistLanes = 7;
+static_assert(kHistLanes * kHistLaneBits <= 64);
+static_assert(kHistLanes <= SimStats::kMaxBundleWidth + 1);
 
 bool src_is_fast(const DecodedSrc& src) {
   return src.kind == SrcKind::Zero || src.kind == SrcKind::Lit ||
@@ -198,15 +208,61 @@ ThreadedBlock EpicSimulator::compile_block(std::uint32_t entry_pc) {
   std::vector<RegRef> hazard_writes;
   std::vector<RegRef> refs;
 
+  // Static timing. Every bundle advances the clock by at least one
+  // cycle (clk = issue + 1 with issue >= clk), so bundle j of a pass
+  // begins at clk_j >= issue_i + (j - i) for every earlier bundle i. A
+  // register whose last in-block writer is bundle i, unguarded, with
+  // latency L <= j - i is therefore ready (issue_i + L <= clk_j) and
+  // its scoreboard read cannot stall: it is dropped from the begin.
+  const std::size_t pred_base = config_.num_gprs;
+  const std::size_t btr_base = pred_base + config_.num_preds;
+  threaded_.writers.resize(btr_base + config_.num_btrs);
+  ThreadedCache::Writer* const writers = threaded_.writers.data();
+  const std::uint64_t stamp = ++threaded_.compiles;
+  auto writer_of = [&](RegFile file, std::uint32_t index) -> auto& {
+    return writers[file == RegFile::Gpr    ? index
+                   : file == RegFile::Pred ? pred_base + index
+                                           : btr_base + index];
+  };
+  auto proven_ready = [&](RegFile file, std::uint32_t index) {
+    const ThreadedCache::Writer& w = writer_of(file, index);
+    return w.stamp == stamp && !w.guarded &&
+           w.latency <= block.len_bundles - w.ordinal;
+  };
+  // Record the bundle's writes once its own reads are lowered. Several
+  // writers in one bundle: the largest latency bounds the ready time,
+  // and one unguarded writer makes the write certain.
+  auto note_writes = [&](const DecodedBundle& bundle) {
+    for (const DecodedOp& op : bundle.ops) {
+      writes_of(op, refs);
+      for (const RegRef& r : refs) {
+        ThreadedCache::Writer& w = writer_of(r.file, r.index);
+        const bool guarded = op.pred != 0;
+        if (w.stamp == stamp && w.ordinal == block.len_bundles) {
+          w.latency = std::max(w.latency, op.latency);
+          w.guarded = w.guarded && guarded;
+        } else {
+          w = {stamp, block.len_bundles, op.latency, guarded};
+        }
+      }
+    }
+  };
+
+  // The open fold run: index of the previous bundle's end uop when that
+  // bundle may anchor or extend a run (direct, no memory probe, a plain
+  // fall-through end), else kNoRun.
+  constexpr std::size_t kNoRun = ~std::size_t{0};
+  std::size_t run_end = kNoRun;
+
   std::uint32_t pc = entry_pc;
   while (pc < bundle_count_ && block.len_bundles < kThreadedMaxBlock) {
     const DecodedBundle& bundle = decoded_[pc];
 
     // ---- classify: direct (+probes) or per-bundle fallback ----
-    bool direct = true;
+    bool direct = bundle.ops.size() < kHistLanes;
     hazard_writes.clear();
     for (const DecodedOp& op : bundle.ops) {
-      if (!op_is_direct(op)) {
+      if (!direct || !op_is_direct(op)) {
         direct = false;
         break;
       }
@@ -231,6 +287,8 @@ ThreadedBlock EpicSimulator::compile_block(std::uint32_t entry_pc) {
       fb.pc = pc;
       fb.e = static_cast<std::uint32_t>(block.uops.size()) + 1;
       block.uops.push_back(fb);
+      note_writes(bundle);
+      run_end = kNoRun;
       ++block.len_bundles;
       ++pc;
       continue;
@@ -267,20 +325,71 @@ ThreadedBlock EpicSimulator::compile_block(std::uint32_t entry_pc) {
       if (!fuse_probes) break;
     }
 
+    // ---- static stat deltas, folded onto the end uop: the four
+    // 16-bit-lane counters (nops | executed<<16 in lo, committed |
+    // mem_reads<<16 in hi) and mem_writes ----
+    unsigned n_nops = bundle.nops_trailing;
+    unsigned n_commit = 0;
+    unsigned n_memr = 0;
+    unsigned n_memw = 0;
+    bool traps = false;  // a memory op that needs a probe
+    unsigned max_lat = 0;
+    for (const DecodedOp& op : bundle.ops) {
+      n_nops += op.nops_before;
+      max_lat = std::max(max_lat, op.latency);
+      switch (op.kind) {
+        case ExecKind::LdW:
+        case ExecKind::LdB:
+        case ExecKind::LdBU:
+        case ExecKind::StW:
+        case ExecKind::StB: traps = true; break;
+        default: break;
+      }
+      if (op.pred != 0) continue;  // counted by its kGuard prefix
+      ++n_commit;
+      switch (op.kind) {
+        case ExecKind::LdW:
+        case ExecKind::LdWS:
+        case ExecKind::LdB:
+        case ExecKind::LdBU: ++n_memr; break;
+        case ExecKind::StW:
+        case ExecKind::StB: ++n_memw; break;
+        default: break;
+      }
+    }
+    std::uint32_t lo = (n_nops & 0xffu) |
+                       static_cast<std::uint32_t>(bundle.ops.size() & 0xff)
+                           << 16;
+    std::uint32_t hi = (n_commit & 0xffu) | (n_memr & 0xffu) << 16;
+    // Width-histogram delta: one count in the bundle's lane.
+    std::uint64_t hist = std::uint64_t{1}
+                         << (kHistLaneBits * bundle.ops.size());
+
     // ---- begin uop: scoreboard slices + §3.2 port verdict ----
+    // (sources the static timing proves ready are left out)
+    unsigned fold = 0;  // this bundle's offset in its fold run
     {
       MicroOp m;
       m.pc = pc;
-      m.a = static_cast<std::uint32_t>(block.sb.size());
-      block.sb.insert(block.sb.end(), bundle.sb_gpr.begin(),
-                      bundle.sb_gpr.end());
-      block.sb.insert(block.sb.end(), bundle.sb_pred.begin(),
-                      bundle.sb_pred.end());
-      block.sb.insert(block.sb.end(), bundle.sb_btr.begin(),
-                      bundle.sb_btr.end());
-      m.b = static_cast<std::uint32_t>(bundle.sb_gpr.size()) |
-            static_cast<std::uint32_t>(bundle.sb_pred.size()) << 8 |
-            static_cast<std::uint32_t>(bundle.sb_btr.size()) << 16;
+      const std::size_t sb_at = block.sb.size();
+      m.a = static_cast<std::uint32_t>(sb_at);
+      auto add_sources = [&](RegFile file,
+                             std::span<const std::uint32_t> regs) {
+        std::uint32_t kept = 0;
+        for (const std::uint32_t r : regs) {
+          if (proven_ready(file, r)) {
+            ++threaded_.elided_sources;
+          } else {
+            block.sb.push_back(r);
+            ++kept;
+          }
+        }
+        return kept;
+      };
+      const std::uint32_t n_gpr = add_sources(RegFile::Gpr, bundle.sb_gpr);
+      const std::uint32_t n_pred = add_sources(RegFile::Pred, bundle.sb_pred);
+      const std::uint32_t n_btr = add_sources(RegFile::Btr, bundle.sb_btr);
+      m.b = n_gpr | n_pred << 8 | n_btr << 16;
       const unsigned demand =
           bundle.write_ports + static_cast<unsigned>(bundle.port_reads.size());
       if (fwd_ && demand > port_budget_) {
@@ -298,24 +407,49 @@ ThreadedBlock EpicSimulator::compile_block(std::uint32_t entry_pc) {
         m.aux = static_cast<std::uint8_t>(
             fwd_ || demand == 0 ? 0
                                 : (demand + port_budget_ - 1) / port_budget_ - 1);
-        if (m.aux == 0 && bundle.sb_gpr.empty() && bundle.sb_pred.empty() &&
-            bundle.sb_btr.empty()) {
-          m.code = UopCode::kBeginFast;
-        } else if (m.aux == 0 && bundle.sb_pred.empty() &&
-                   bundle.sb_btr.empty() && bundle.sb_gpr.size() <= 2) {
-          // The dominant shape — one or two GPR-only scoreboard
-          // sources and no port stall: the register indices ride in
-          // the uop itself (a/d; gpr_ready[0] is always 0, so padding
-          // with r0 is free), no slice scan, issue = ready max.
-          m.code = UopCode::kBegin2;
-          m.a = bundle.sb_gpr.empty() ? 0 : bundle.sb_gpr[0];
-          m.d = bundle.sb_gpr.size() > 1 ? bundle.sb_gpr[1] : m.a;
+        if (m.aux == 0 && n_pred == 0 && n_btr == 0 && n_gpr <= 2) {
+          // No slice scan: kBeginFast with no sources at all, else the
+          // dominant shape — one or two GPR-only scoreboard sources
+          // and no port stall: the register indices ride in the uop
+          // itself (a/d; gpr_ready[0] is always 0, so padding with r0
+          // is free), issue = ready max.
+          m.code = n_gpr == 0 ? UopCode::kBeginFast : UopCode::kBegin2;
+          m.a = n_gpr == 0 ? 0 : block.sb[sb_at];
+          m.d = n_gpr > 1 ? block.sb[sb_at + 1] : m.a;
+          block.sb.resize(sb_at);
         } else {
           m.code = UopCode::kBegin;
         }
       }
-      block.uops.push_back(m);
+
+      // Fold a stall-free boundary: a kBeginFast bundle after a plain
+      // fall-through end issues exactly one cycle after its
+      // predecessor, so both the end and this begin drop out and the
+      // bundle joins the predecessor's run at offset fold (its results
+      // ready at anchor issue + fold + lat). Neither bundle may hold a
+      // memory probe (a bail replays from a bundle boundary the run no
+      // longer has) and the pipeline must have no memory contention (a
+      // dynamic extra cycle); every baked latency and summed stat lane
+      // stays within its 8 bits.
+      if (m.code == UopCode::kBeginFast && run_end != kNoRun && !traps &&
+          !config_.unified_memory_contention) {
+        const MicroOp& prev = block.uops[run_end];
+        const unsigned next_fold = prev.b >> 16;  // the run's clock advance
+        const std::uint32_t sum_lo = prev.d + lo;
+        const std::uint32_t sum_hi = prev.e + hi;
+        if (max_lat + next_fold <= 255 &&
+            ((sum_lo | sum_hi) & 0xff00ff00u) == 0) {
+          fold = next_fold;
+          lo = sum_lo;
+          hi = sum_hi;
+          hist += std::uint64_t{prev.h} << 32 | prev.a;
+          block.uops.pop_back();  // the previous end (always the last uop)
+          ++threaded_.folded_bundles;
+        }
+      }
+      if (fold == 0) block.uops.push_back(m);
     }
+    note_writes(bundle);
 
     // ---- standalone memory probes, for bundles the fused forms
     // cannot prove exact (after the begin uop — its stall statistics
@@ -349,27 +483,8 @@ ThreadedBlock EpicSimulator::compile_block(std::uint32_t entry_pc) {
     }
 
     // ---- op uops, in slot order ----
-    unsigned n_nops = bundle.nops_trailing;
-    unsigned n_commit = 0;
-    unsigned n_memr = 0;
-    unsigned n_memw = 0;
     for (const DecodedOp& op : bundle.ops) {
-      n_nops += op.nops_before;
-      const bool guarded = op.pred != 0;
-      if (!guarded) {
-        ++n_commit;
-        switch (op.kind) {
-          case ExecKind::LdW:
-          case ExecKind::LdWS:
-          case ExecKind::LdB:
-          case ExecKind::LdBU: ++n_memr; break;
-          case ExecKind::StW:
-          case ExecKind::StB: ++n_memw; break;
-          default: break;
-        }
-      }
-
-      if (guarded) {
+      if (op.pred != 0) {
         // Predicate prefix: the op handlers themselves never test
         // guards (most ops are unguarded), the prefix skips or commits
         // the next slot and carries the dynamic stat deltas a static
@@ -392,7 +507,7 @@ ThreadedBlock EpicSimulator::compile_block(std::uint32_t entry_pc) {
 
       MicroOp m;
       m.pc = pc;
-      m.lat = static_cast<std::uint8_t>(op.latency);
+      m.lat = static_cast<std::uint8_t>(op.latency + fold);
       m.op = op.op;
       // Branch targets live in the extended GPR space too (pool slot
       // for literal targets) unless they come from a branch-target
@@ -505,19 +620,19 @@ ThreadedBlock EpicSimulator::compile_block(std::uint32_t entry_pc) {
       bool control = false;
       for (const DecodedOp& op : bundle.ops) control |= is_control(op.kind);
       m.code = control ? UopCode::kEnd : UopCode::kEndFall;
-      // d/e: the four per-bundle counter deltas pre-expanded to 16-bit
-      // lanes of one 64-bit word, so exec_block folds them with a
-      // single register add (flushed to SimStats at block exits).
-      m.d = (n_nops & 0xffu) |
-            static_cast<std::uint32_t>(bundle.ops.size() & 0xff) << 16;
-      m.e = (n_commit & 0xffu) | (n_memr & 0xffu) << 16;
-      m.b = (n_memw & 0xffu) |
-            static_cast<std::uint32_t>(std::min<std::size_t>(
-                bundle.ops.size(), SimStats::kMaxBundleWidth))
-                << 8;
+      // d/e: the four counter deltas (the run's sums when folded)
+      // pre-expanded to 16-bit lanes of one 64-bit word, so exec_block
+      // folds them with a single register add (flushed to SimStats at
+      // block exits).
+      m.d = lo;
+      m.e = hi;
+      m.b = (n_memw & 0xffu) | (fold + 1) << 16;
+      m.a = static_cast<std::uint32_t>(hist);
+      m.h = static_cast<std::uint32_t>(hist >> 32);
       if (config_.unified_memory_contention) {
         m.flags |= kFlagContention;
       }
+      run_end = control || traps ? kNoRun : block.uops.size();
       block.uops.push_back(m);
     }
 
@@ -575,6 +690,9 @@ ThreadedBlock EpicSimulator::compile_block(std::uint32_t entry_pc) {
 
   block.max_advance =
       (std::uint64_t{block.len_bundles} + 1) * threaded_.advance_bound;
+  // Blocks live as long as their simulator: drop the push_back slack.
+  block.uops.shrink_to_fit();
+  block.sb.shrink_to_fit();
   return block;
 }
 
@@ -658,9 +776,12 @@ void EpicSimulator::exec_block(const ThreadedBlock& block) {
   std::uint64_t acc = 0;
   // Second accumulator, same lane trick: stall_scoreboard |
   // stall_reg_ports<<16 | mem_writes<<32 | bundles_issued<<48. Per-end
-  // deltas are <= 254 / 8 / 8 / 1, so the overflow bound is the same
-  // one `acc` lives under.
+  // deltas are <= 254 / 8 / 8 / run length, so the overflow bound is
+  // the same one `acc` lives under (it counts bundles, not ends).
   std::uint64_t acc2 = 0;
+  // Bundle-width histogram, one kHistLaneBits lane per width, under
+  // the same flush bound.
+  std::uint64_t hacc = 0;
   // Current bundle's stall deltas (scoreboard | reg_ports<<16), packed
   // by the begin shapes and folded into acc2 by the end micro-op:
   // deferring the commit lets the memory probes run *after* the begin
@@ -688,13 +809,14 @@ void EpicSimulator::exec_block(const ThreadedBlock& block) {
 // so raw big-endian access cannot fault.
 #define CEPIC_END_COMMON()                                           \
   const std::uint32_t sb2 = m.b;                                     \
+  const std::uint32_t adv = sb2 >> 16; /* bundles in the run */      \
   acc += (static_cast<std::uint64_t>(m.e) << 32) | m.d;              \
   /* stall stats commit with the bundle (a probe bail after the */   \
   /* begin drops them), mem_writes and the bundle count ride the */  \
   /* upper lanes */                                                  \
   acc2 += bundle_sr + (static_cast<std::uint64_t>(sb2 & 0xff) << 32) + \
-          (std::uint64_t{1} << 48);                                  \
-  ++stats_.bundle_width_hist[sb2 >> 8];                              \
+          (static_cast<std::uint64_t>(adv) << 48);                   \
+  hacc += (static_cast<std::uint64_t>(m.h) << 32) | m.a;             \
   for (unsigned i = 0; i < pend_n; ++i) {                            \
     const std::uint32_t at = pend[i].addr;                           \
     const std::uint32_t v = pend[i].value;                           \
@@ -708,7 +830,7 @@ void EpicSimulator::exec_block(const ThreadedBlock& block) {
       mem[at + 3] = static_cast<std::uint8_t>(v);                    \
     }                                                                \
   }                                                                  \
-  clk = issue + 1;                                                   \
+  clk = issue + adv; /* the run's last bundle issued at issue + adv - 1 */ \
   if ((m.flags & kFlagContention) && any_mem) {                      \
     ++clk;                                                           \
     ++stats_.stall_mem_contention;                                   \
@@ -728,8 +850,13 @@ void EpicSimulator::exec_block(const ThreadedBlock& block) {
   stats_.stall_reg_ports += (acc2 >> 16) & 0xffff; \
   stats_.mem_writes += (acc2 >> 32) & 0xffff;      \
   stats_.bundles_issued += acc2 >> 48;             \
+  for (unsigned w = 0; w < kHistLanes; ++w) {      \
+    stats_.bundle_width_hist[w] +=                 \
+        (hacc >> (kHistLaneBits * w)) & 0x1ff;     \
+  }                                                \
   acc = 0;                                         \
-  acc2 = 0;
+  acc2 = 0;                                        \
+  hacc = 0;
 // Scoreboard scan of the begin micro-op: issue slips to the latest
 // ready time over the bundle's source registers (leaves `is` in
 // scope; the caller packs the stall delta into bundle_sr). Shared by
@@ -819,6 +946,8 @@ L_next_block:
         constexpr std::uint64_t kFlushBundles = 192;
         static_assert(255 * (kFlushBundles + kThreadedMaxBlock) < (1u << 16),
                       "kThreadedMaxBlock overflows exec_block's stat lanes");
+        static_assert(kFlushBundles + kThreadedMaxBlock < (1u << kHistLaneBits),
+                      "kThreadedMaxBlock overflows the histogram lanes");
         if (acc2 >= (kFlushBundles << 48)) {
           CEPIC_FLUSH_STATS();
         }
@@ -1193,7 +1322,9 @@ L_dispatch:
       CEPIC_CASE(kEnd) : {
         const MicroOp& m = *u;
         // finish_step leaves stats_.cycles at the previous bundle's
-        // value on a fault throw; capture it before the clock advances.
+        // value on a fault throw; capture it before the clock advances
+        // (in a folded run the previous bundle ended one cycle before
+        // the run's last issue).
         const std::uint64_t prev_clk = clk;
         CEPIC_END_COMMON();
         if (halt_now) {
@@ -1213,7 +1344,7 @@ L_dispatch:
             // finish_step (cycle_ already includes the bubbles).
             pc_ = m.pc;
             cycle_ = clk;
-            stats_.cycles = prev_clk;
+            stats_.cycles = adv == 1 ? prev_clk : issue + adv - 1;
             CEPIC_FLUSH_STATS();
             throw SimError(cat("branch to bundle ", branch_target,
                                " past end of program"));

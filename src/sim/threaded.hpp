@@ -7,7 +7,9 @@
 // shape, literals materialised as constant-pool registers so operand
 // fetch is one unconditional array load, Mdes latencies and §3.2 port
 // verdicts pre-folded, per-bundle statistics collapsed into static
-// deltas on the bundle-end micro-op. A tight
+// deltas on the bundle-end micro-op, scoreboard reads that an in-block
+// writer proves ready dropped, and stall-free bundle boundaries folded
+// away (docs/SIM.md "Execution tiers"). A tight
 // switch dispatch loop (exec_block) then executes whole blocks without
 // re-deriving any static fact and with all loop state in registers.
 //
@@ -138,7 +140,10 @@ inline constexpr unsigned kNumUopCodes =
 ///  * kEnd/kEndFall: d|e<<32 = the four counter deltas pre-expanded to
 ///    16-bit lanes (nops | executed<<16 | committed<<32 |
 ///    mem_reads<<48) so the dispatch loop folds them with one add,
-///    b = mem_writes | hist_bucket<<8.
+///    a|h<<32 = the width-histogram delta in 9-bit lanes (one per
+///    bundle width), b = mem_writes | bundles<<16. An end closing a
+///    folded run of n bundles (docs/SIM.md "Execution tiers") carries
+///    the run's summed deltas and advances the clock to issue + n.
 struct MicroOp {
   UopCode code = UopCode::kExit;
   std::uint8_t flags = 0;
@@ -151,6 +156,7 @@ struct MicroOp {
   std::uint32_t d = 0;     ///< destination register index
   std::uint32_t e = 0;     ///< dest2 / bail/continue micro-op index
   std::uint32_t pc = 0;    ///< bundle pc this micro-op belongs to
+  std::uint32_t h = 0;     ///< kEnd*: histogram delta, high word
 };
 static_assert(sizeof(MicroOp) <= 32, "MicroOp must stay two-per-line");
 
@@ -196,11 +202,27 @@ struct ThreadedCache {
   /// bubbles + contention), pre-computed over the whole program.
   std::uint64_t advance_bound = 0;
 
-  // Tier telemetry (tests/test_sim_threaded.cpp).
+  /// compile_block's scratch: the last in-block writer of each
+  /// register (GPRs, then predicates, then BTRs). Entries are stamped
+  /// with the compile that wrote them, so the table is allocated once
+  /// and never cleared between blocks.
+  struct Writer {
+    std::uint64_t stamp = 0;     ///< compiles value of the writing compile
+    std::uint32_t ordinal = 0;   ///< bundle ordinal within the block
+    std::uint32_t latency = 0;   ///< largest latency of its writes there
+    bool guarded = false;        ///< no unguarded op of that bundle writes it
+  };
+  std::vector<Writer> writers;
+  std::uint64_t compiles = 0;
+
+  // Tier telemetry (tests/test_sim_threaded.cpp, cepic-sim
+  // --metrics-json).
   std::uint64_t block_entries = 0;  ///< block entries (incl. in-loop
                                     ///< block-to-block transitions)
   std::uint64_t fallback_bundles = 0;   ///< per-bundle decode-tier falls
   std::uint64_t cold_steps = 0;         ///< decode-tier steps pre-promotion
+  std::uint64_t elided_sources = 0;  ///< scoreboard reads compiled away
+  std::uint64_t folded_bundles = 0;  ///< bundle boundaries compiled away
 
   bool enabled() const { return !block_at.empty(); }
 };

@@ -457,6 +457,70 @@ TEST(Bench, CommittedBaselinesCatchTheStepsTheyGuard) {
   EXPECT_FALSE(sarm->ok) << sarm->fresh;
 }
 
+TEST(Bench, CommittedAesFloorCatchesTheStaticTimingRevert) {
+  // BM_EpicSimulator/aes is floored at 0.75x its committed ratio to the
+  // decode tier. Before threaded blocks compiled per-bundle timing work
+  // away (elided scoreboard reads, folded bundle boundaries), the same
+  // benchmark read 4.29 and 4.49 in two full-suite Release runs on a
+  // 4-vCPU host; a fresh run at the higher reading must fail the floor
+  // the committed records set.
+  constexpr double kParentRatio = 4.49;
+  std::ifstream in(CEPIC_TEST_DIR "/../BENCH_toolspeed.json");
+  ASSERT_TRUE(in.good());
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::vector<report::BenchRun> history =
+      report::parse_history(obs::json::parse(text.str()));
+  const char* name = "BM_EpicSimulator/aes/BM_EpicSimulatorDecode";
+  const report::RatioCheck* audit =
+      find_check(report::audit_ratios(history), name);
+  ASSERT_NE(audit, nullptr);
+  ASSERT_FALSE(audit->baseline_label.empty());
+  EXPECT_TRUE(audit->ok) << audit->fresh;
+  report::BenchRun parent;
+  parent.label = "parent";
+  parent.benchmarks["BM_EpicSimulatorDecode"].counters["sim_cycles/s"] = 20e6;
+  parent.benchmarks["BM_EpicSimulator/aes"].counters["sim_cycles/s"] =
+      20e6 * kParentRatio;
+  const report::RatioCheck* c =
+      find_check(report::check_ratios(history, parent), name);
+  ASSERT_NE(c, nullptr);
+  EXPECT_FALSE(c->ok) << "limit " << c->limit;
+}
+
+TEST(Bench, AuditChecksEachGuardOnItsNewestRecord) {
+  // The history ends in a partial record (a filtered run carrying only
+  // BM_Frontend). Each guard audits the newest release record that
+  // carries both its sides, against baselines from the records before
+  // that one: the tier pair audits "b" against "a", not the partial
+  // record, which carries neither side.
+  report::BenchRun partial;
+  partial.label = "partial";
+  partial.benchmarks["BM_Frontend"].real_time_ns = 1;
+  const report::BenchRun debug =
+      tier_run("debug (non-release: Debug)", 1e9, 1e9);
+  const std::vector<report::RatioCheck> checks = report::audit_ratios(
+      {tier_run("a", 5e9, 1e9), tier_run("b", 4e9, 1e9), debug, partial});
+  const report::RatioCheck* c =
+      find_check(checks, "BM_EpicSimulator/BM_EpicSimulatorLegacy");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->fresh_label, "b");
+  EXPECT_EQ(c->baseline_label, "a");
+  EXPECT_DOUBLE_EQ(c->fresh, 4.0);
+  EXPECT_DOUBLE_EQ(c->limit, 3.75);
+  EXPECT_TRUE(c->ok);
+  // Guards no record carries, or only one record (no baseline before
+  // it), are skipped, not failed.
+  for (const report::RatioCheck& rc : checks) EXPECT_TRUE(rc.ok) << rc.name;
+  // The newest full record still fails the audit below its floor.
+  c = find_check(report::audit_ratios({tier_run("a", 5e9, 1e9),
+                                       tier_run("b", 2e9, 1e9), partial}),
+                 "BM_EpicSimulator/BM_EpicSimulatorLegacy");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->fresh_label, "b");
+  EXPECT_FALSE(c->ok);
+}
+
 TEST(Bench, ScalingGuardBoundsEveryDoubling) {
   // Each size's "time/half" counter is its own time over its half-size
   // input's; the guard bounds every doubling, with no baseline needed.

@@ -6,7 +6,9 @@
 // counters (ThreadedCache::block_entries / fallback_bundles /
 // cold_steps) are observability-only: nothing here asserts an exact
 // instruction-path count that an optimisation would legitimately
-// change, only the structural facts the tier's contract promises.
+// change, only the structural facts the tier's contract promises. The
+// static-timing cases are the exception: on tiny programs they pin
+// exactly which reads a rule elides and which boundaries it folds.
 #include <gtest/gtest.h>
 
 #include "core/memory.hpp"
@@ -176,6 +178,187 @@ TEST(SimThreaded, CycleLimitFaultNamesTheBundle) {
   EpicSimulator decode(loop, {}, decode_options);
   EXPECT_THROW(decode.run(), SimError);
   EXPECT_EQ(sim.stats(), decode.stats());
+}
+
+// --- static timing: elided scoreboard reads and folded boundaries ---
+
+/// Observable end state of one run: stats, OUT stream, architectural
+/// registers and the fault text ("" when the run halted).
+struct RunState {
+  SimStats stats;
+  std::vector<std::uint32_t> output;
+  std::vector<std::uint32_t> regs;  ///< GPRs, predicates, BTRs, pc
+  std::string fault;
+};
+
+RunState run_to_end(EpicSimulator& sim) {
+  RunState s;
+  try {
+    sim.run();
+  } catch (const SimError& e) {
+    s.fault = e.what();
+  }
+  const ProcessorConfig& cfg = sim.config();
+  for (unsigned i = 0; i < cfg.num_gprs; ++i) s.regs.push_back(sim.gpr(i));
+  for (unsigned i = 0; i < cfg.num_preds; ++i) s.regs.push_back(sim.pred(i));
+  for (unsigned i = 0; i < cfg.num_btrs; ++i) s.regs.push_back(sim.btr(i));
+  s.regs.push_back(sim.pc());
+  s.stats = sim.stats();
+  s.output = sim.output();
+  return s;
+}
+
+/// Runs `p` on the threaded tier (every entry compiled on first touch)
+/// and on the decode tier, expects identical observable behaviour, and
+/// returns the threaded tier's cache for the caller's telemetry checks.
+ThreadedCache expect_same_as_decode(const Program& p,
+                                    std::uint64_t max_cycles = 1'000'000,
+                                    const CustomOpTable& custom = {}) {
+  SimOptions options = threaded_options(1);
+  options.max_cycles = max_cycles;
+  EpicSimulator threaded(p, custom, options);
+  options.exec_tier = ExecTier::Decode;
+  EpicSimulator decode(p, custom, options);
+  const RunState t = run_to_end(threaded);
+  const RunState d = run_to_end(decode);
+  EXPECT_EQ(t.fault, d.fault);
+  EXPECT_EQ(t.stats, d.stats);
+  EXPECT_EQ(t.output, d.output);
+  EXPECT_EQ(t.regs, d.regs);
+  return threaded.threaded_cache();
+}
+
+Instruction ldws(std::uint32_t d, std::int32_t addr) {
+  return Instruction::make(Op::LDWS, d, R(0), I(addr));
+}
+
+ProcessorConfig slow_loads(unsigned latency) {
+  ProcessorConfig cfg;
+  cfg.load_latency = latency;
+  return cfg;
+}
+
+TEST(SimThreadedTiming, NullifiedGuardedWriterKeepsTheRead) {
+  // r5's last writer before bundle 3 is a guarded MOV whose guard is
+  // false: the 4-cycle load in bundle 1 still sets r5's ready time,
+  // and bundle 3 must stall for it. Elided: r2 (bundle 1), p1 (bundle
+  // 2), r6 (bundle 4) — never r5.
+  const Program p = make_program(
+      slow_loads(4),
+      {{mov(2, I(64)), cmpp(Op::CMPP_LT, 1, 2, I(1), I(0))},
+       {ldw(5, 2, 0)},
+       {mov(5, I(7), 1)},
+       {add(6, R(5), I(1))},
+       {out(R(6)), halt()}});
+  const ThreadedCache tc = expect_same_as_decode(p);
+  EXPECT_EQ(tc.elided_sources, 3u);
+}
+
+TEST(SimThreadedTiming, LastWriterSetsTheReadyTime) {
+  // WAW across bundles: the ready time is the *last* writer's. A short
+  // writer after a long one proves the read ready (r5 at bundle 3); a
+  // long writer after a short one does not (r7 at bundle 6 stalls).
+  const Program p = make_program(
+      slow_loads(4),
+      {{mov(2, I(64))},
+       {ldw(5, 2, 0)},
+       {mov(5, I(9))},
+       {add(6, R(5), I(1))},
+       {mov(7, I(3))},
+       {ldw(7, 2, 0)},
+       {add(8, R(7), R(6))},
+       {out(R(8)), halt()}});
+  const ThreadedCache tc = expect_same_as_decode(p);
+  // r2 twice, r5, r6, r8; r7 stays.
+  EXPECT_EQ(tc.elided_sources, 5u);
+}
+
+TEST(SimThreadedTiming, TwoWritersInOneBundleTakeTheLargerLatency) {
+  // A MOV and a 4-cycle load write r5 in one MultiOp (the load, later
+  // in slot order, wins): bundle 2 stalls on it. In bundle 3 the order
+  // is reversed, so r7 is ready after one cycle; the larger latency
+  // still keeps the read (no stall either way).
+  const Program p = make_program(
+      slow_loads(4),
+      {{mov(2, I(64))},
+       {mov(5, I(1)), ldw(5, 2, 0)},
+       {add(6, R(5), I(1))},
+       {ldw(7, 2, 0), mov(7, I(2))},
+       {add(8, R(7), R(6))},
+       {out(R(8)), halt()}});
+  const ThreadedCache tc = expect_same_as_decode(p);
+  // r2 twice, r6, r8; r5 and r7 stay.
+  EXPECT_EQ(tc.elided_sources, 4u);
+}
+
+TEST(SimThreadedTiming, FallbackBundleWritersCount) {
+  // Bundle 1 runs through the per-bundle fallback (custom op); its
+  // writes still set the last-writer table: r3 (1 cycle) is proven
+  // ready in bundle 2, r5 (a 4-cycle load) is not and stalls — the
+  // earlier one-cycle MOV of r5 must not stand in for it.
+  ProcessorConfig cfg = slow_loads(4);
+  cfg.custom_ops = {"popc"};
+  const Program p = make_program(
+      cfg,
+      {{mov(5, I(1)), mov(2, I(64)), mov(1, I(7))},
+       {op3(Op::CUSTOM0, 3, R(1), I(0)), ldw(5, 2, 0)},
+       {add(6, R(3), R(5))},
+       {out(R(6)), halt()}});
+  const ThreadedCache tc = expect_same_as_decode(
+      p, 1'000'000, CustomOpTable::for_names(cfg.custom_ops));
+  EXPECT_GT(tc.fallback_bundles, 0u);
+  EXPECT_EQ(tc.elided_sources, 2u);  // r3 and r6
+}
+
+/// A loop whose body is one folded run ending in its back-edge branch.
+/// Bundles 2-4 join bundle 1's run; the speculative load in bundle 2
+/// (offset 1) feeds the next iteration's bundle 1, which stalls on it,
+/// so the baked latency must include the offset.
+Program folded_loop() {
+  return make_program(
+      slow_loads(6),
+      {{mov(1, I(0)), mov(6, I(0)), pbr(1, 1)},
+       {add(1, R(1), I(1)), add(6, R(6), R(5))},
+       {ldws(5, 64)},
+       {cmpp(Op::CMPP_LT, 1, 2, R(1), I(20)), pbr(1, 1)},
+       {brct(1, 1)},
+       {out(R(6)), halt()}});
+}
+
+TEST(SimThreadedTiming, TakenBranchEndsAFoldedRun) {
+  const ThreadedCache tc = expect_same_as_decode(folded_loop());
+  // Two blocks (entries 0 and 1), each folding bundles 2, 3 and 4.
+  EXPECT_EQ(tc.blocks.size(), 2u);
+  EXPECT_EQ(tc.folded_bundles, 6u);
+  EXPECT_GT(tc.block_entries, 1u);
+}
+
+TEST(SimThreadedTiming, BranchPastEndFaultEndsAFoldedRun) {
+  // Bundles 0-3 fold into one run; its end branches past the program.
+  // The fault leaves SimStats::cycles at the end of bundle 2 (issue +
+  // 3 of the run), exactly as the decode tier's finish_step does.
+  const Program p = make_program(
+      ProcessorConfig{},
+      {{mov(1, I(1)), pbr(1, 100)},
+       {add(2, R(1), I(1))},
+       {add(3, R(2), I(1))},
+       {bru(1)}});
+  const ThreadedCache tc = expect_same_as_decode(p);
+  EXPECT_EQ(tc.folded_bundles, 3u);
+}
+
+TEST(SimThreadedTiming, CycleLimitFaultNextToAFoldedBlock) {
+  // Every cycle budget up to past the loop's end: the blocks are only
+  // entered with enough slack, then the decode tier single-steps to the
+  // exact fault.
+  std::uint64_t folded = 0;
+  for (std::uint64_t limit = 4; limit <= 160; ++limit) {
+    SCOPED_TRACE(cat("max_cycles ", limit));
+    folded = std::max(folded,
+                      expect_same_as_decode(folded_loop(), limit)
+                          .folded_bundles);
+  }
+  EXPECT_GT(folded, 0u);
 }
 
 TEST(SimThreaded, DirtyPageResetZeroesExactlyWhatWasWritten) {

@@ -280,20 +280,20 @@ int run_bench(const std::vector<std::string>& paths,
   }
 
   // Ratio guards: --fresh checks a new run against the committed
-  // baselines; without it the history's own last run is audited.
-  report::BenchRun fresh;
-  std::vector<report::BenchRun> baselines = history;
-  if (!fresh_path.empty()) {
-    fresh = report::parse_run(json::parse(tools::read_file(fresh_path)),
-                              "(fresh)");
-  } else {
-    fresh = history.back();
-    baselines.pop_back();
-  }
-  std::cout << "\nratio guards (fresh: " << fresh.label << ")\n";
+  // baselines; without it each guard audits the newest committed
+  // record that carries it against the records before that one.
+  const bool audit = fresh_path.empty();
+  const std::vector<report::RatioCheck> checks =
+      audit ? report::audit_ratios(history)
+            : report::check_ratios(
+                  history,
+                  report::parse_run(
+                      json::parse(tools::read_file(fresh_path)), "(fresh)"));
+  std::cout << "\nratio guards ("
+            << (audit ? "audit: each guard's newest record" : "fresh: (fresh)")
+            << ")\n";
   bool failed = false;
-  for (const report::RatioCheck& rc :
-       report::check_ratios(baselines, fresh)) {
+  for (const report::RatioCheck& rc : checks) {
     if (rc.baseline_label.empty()) {
       std::cout << "  " << rc.name
                 << (rc.fixed ? ": not in the fresh run, skipped\n"
@@ -301,6 +301,7 @@ int run_bench(const std::vector<std::string>& paths,
       continue;
     }
     std::cout << "  " << rc.name << ": ";
+    if (audit) std::cout << "record '" << rc.fresh_label << "', ";
     if (!rc.fixed) {
       std::cout << "baseline '" << rc.baseline_label
                 << "' = " << fixed(rc.baseline, 3) << ", ";

@@ -64,9 +64,20 @@ int main(int argc, char** argv) {
     for (std::uint32_t v : sim.output()) std::cout << " " << v;
     std::cout << "\nreturn value (r3): " << sim.gpr(3) << "\n\n"
               << sim.stats().report();
-    obs::Registry::instance().set_counter("sim.cycles", sim.stats().cycles);
-    obs::Registry::instance().set_counter("sim.ops_committed",
-                                          sim.stats().ops_committed);
+    obs::Registry& metrics = obs::Registry::instance();
+    metrics.set_counter("sim.cycles", sim.stats().cycles);
+    metrics.set_counter("sim.ops_committed", sim.stats().ops_committed);
+    // Threaded-tier telemetry: how much of the run the compiled blocks
+    // carried, and how much per-bundle timing work they compiled away.
+    if (const ThreadedCache& tc = sim.threaded_cache(); tc.enabled()) {
+      metrics.set_counter("sim.threaded.blocks", tc.blocks.size());
+      metrics.set_counter("sim.threaded.block_entries", tc.block_entries);
+      metrics.set_counter("sim.threaded.fallback_bundles",
+                          tc.fallback_bundles);
+      metrics.set_counter("sim.threaded.cold_steps", tc.cold_steps);
+      metrics.set_counter("sim.threaded.elided_sources", tc.elided_sources);
+      metrics.set_counter("sim.threaded.folded_bundles", tc.folded_bundles);
+    }
     tools::obs_finish(obs_opts);
     return 0;
   });
