@@ -1,5 +1,6 @@
 #include "pipeline/pipeline.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <filesystem>
@@ -216,7 +217,7 @@ const ir::Module& Service::shared_module(std::string_view source) {
     store_.put(id, module);
     ++frontend_runs_;
     return module;
-  });
+  }, &module_waits_);
   if (!built) span.arg("cached", "memo");
   return shared;
 }
@@ -407,90 +408,120 @@ std::vector<RunOutcome> Service::run_batch(
     Once<std::shared_ptr<const SimImage>> image;
   };
 
-  {
-    ThreadPool pool(options_.jobs == 0 ? ThreadPool::hardware_jobs()
-                                       : options_.jobs);
-    for (auto& [key, items] : groups) {
-      (void)key;
-      const std::vector<Item>* group = &items;
-      const std::uint64_t submit_ns = obs::now_ns();
-      pool.submit([this, group, &sources, &configs, &outcomes, &pool, &sims_mu,
-                   &sims, &sim_hashes, submit_ns] {
-        obs::Span task_span("batch.compile", "pipeline");
-        const std::uint64_t wait_ns = obs::now_ns() - submit_ns;
+  // One compile task per group: compile (or fetch) the Program, then
+  // submit the group's simulate tasks to the same pool.
+  ThreadPool pool(options_.jobs == 0 ? ThreadPool::hardware_jobs()
+                                     : options_.jobs);
+  const auto run_group = [this, &sources, &configs, &outcomes, &pool,
+                          &sims_mu, &sims, &sim_hashes](
+                             const std::vector<Item>* group,
+                             std::uint64_t submit_ns) {
+    obs::Span task_span("batch.compile", "pipeline");
+    const std::uint64_t wait_ns = obs::now_ns() - submit_ns;
+    obs::observe("pipeline.queue_wait_ns", wait_ns);
+    task_span.arg("queue_wait_ns", wait_ns);
+    task_span.arg("group_items", static_cast<std::uint64_t>(group->size()));
+    const Item& first = group->front();
+    const auto shared = std::make_shared<GroupImage>();
+    try {
+      shared->program =
+          compile_program(sources[first.source], configs[first.config]);
+      shared->content = program_content_hash(shared->program);
+    } catch (const std::exception& e) {
+      // Leave the faulting task's last-moments trace behind (only
+      // dumps when a --flight-out path is configured).
+      obs::flight_record_fault(e.what());
+      for (const Item& item : *group) outcomes[item.index].error = e.what();
+      return;
+    }
+    for (const Item& item : *group) {
+      const Item* it = &item;
+      const std::uint64_t sim_submit_ns = obs::now_ns();
+      pool.submit([this, shared, it, &configs, &outcomes, &sims_mu, &sims,
+                   &sim_hashes, sim_submit_ns] {
+        obs::Span task_span("batch.simulate", "pipeline");
+        const std::uint64_t wait_ns = obs::now_ns() - sim_submit_ns;
         obs::observe("pipeline.queue_wait_ns", wait_ns);
         task_span.arg("queue_wait_ns", wait_ns);
-        task_span.arg("group_items", static_cast<std::uint64_t>(group->size()));
-        const Item& first = group->front();
-        const auto shared = std::make_shared<GroupImage>();
-        try {
-          shared->program =
-              compile_program(sources[first.source], configs[first.config]);
-          shared->content = program_content_hash(shared->program);
-        } catch (const std::exception& e) {
-          // Leave the faulting task's last-moments trace behind (only
-          // dumps when a --flight-out path is configured).
-          obs::flight_record_fault(e.what());
-          for (const Item& item : *group) outcomes[item.index].error = e.what();
-          return;
+        Once<RunOutcome>* entry = nullptr;
+        {
+          std::lock_guard<std::mutex> lock(sims_mu);
+          entry = &sims[{shared->content, sim_hashes[it->config]}];
         }
-        for (const Item& item : *group) {
-          const Item* it = &item;
-          const std::uint64_t sim_submit_ns = obs::now_ns();
-          pool.submit([this, shared, it, &configs, &outcomes, &sims_mu, &sims,
-                       &sim_hashes, sim_submit_ns] {
-            obs::Span task_span("batch.simulate", "pipeline");
-            const std::uint64_t wait_ns = obs::now_ns() - sim_submit_ns;
-            obs::observe("pipeline.queue_wait_ns", wait_ns);
-            task_span.arg("queue_wait_ns", wait_ns);
-            Once<RunOutcome>* entry = nullptr;
+        const ProcessorConfig& config = configs[it->config];
+        bool simulated = false;
+        const RunOutcome& outcome = entry->get([&] {
+          simulated = true;
+          RunOutcome fresh;
+          try {
+            // The group's first simulation builds the image; the
+            // rest share it.
+            const std::shared_ptr<const SimImage>& image = shared->image.get(
+                [&] {
+                  auto built = std::make_shared<const SimImage>(
+                      std::move(shared->program),
+                      CustomOpTable::for_names(config.custom_ops));
+                  ++sim_images_;
+                  return built;
+                },
+                &image_waits_);
+            EpicSimulator sim(image, config, options_.sim);
             {
-              std::lock_guard<std::mutex> lock(sims_mu);
-              entry = &sims[{shared->content, sim_hashes[it->config]}];
+              obs::ScopedObserve latency("pipeline.simulate_ns");
+              sim.run();
             }
-            const ProcessorConfig& config = configs[it->config];
-            bool simulated = false;
-            const RunOutcome& outcome = entry->get([&] {
-              simulated = true;
-              RunOutcome fresh;
-              try {
-                // The group's first simulation builds the image; the
-                // rest share it.
-                const std::shared_ptr<const SimImage>& image =
-                    shared->image.get([&] {
-                      auto built = std::make_shared<const SimImage>(
-                          std::move(shared->program),
-                          CustomOpTable::for_names(config.custom_ops));
-                      ++sim_images_;
-                      return built;
-                    });
-                EpicSimulator sim(image, config, options_.sim);
-                {
-                  obs::ScopedObserve latency("pipeline.simulate_ns");
-                  sim.run();
-                }
-                static_cast<SimStats&>(fresh) = sim.stats();
-                fresh.set_output(sim.output());
-                fresh.ret = sim.gpr(3);
-                ++simulations_;
-              } catch (const std::exception& e) {
-                obs::flight_record_fault(e.what());
-                fresh.error = e.what();
-              }
-              return fresh;
-            });
-            if (!simulated) {
-              task_span.arg("dedup", "hit");
-              ++sim_dedup_hits_;
-            }
-            if (outcome.ok) results_.insert(it->key, outcome);
-            outcomes[it->index] = outcome;
-          });
+            static_cast<SimStats&>(fresh) = sim.stats();
+            fresh.set_output(sim.output());
+            fresh.ret = sim.gpr(3);
+            ++simulations_;
+          } catch (const std::exception& e) {
+            obs::flight_record_fault(e.what());
+            fresh.error = e.what();
+          }
+          return fresh;
+        });
+        if (!simulated) {
+          task_span.arg("dedup", "hit");
+          ++sim_dedup_hits_;
         }
+        if (outcome.ok) results_.insert(it->key, outcome);
+        outcomes[it->index] = outcome;
       });
     }
-    pool.wait();
+  };
+
+  // One task per source with work, largest source text first. It runs
+  // the source's first group inline, so the Module exists (or the store
+  // has answered) before the source's other groups are queued: no group
+  // task parks on another task's frontend.
+  std::vector<std::vector<const std::vector<Item>*>> by_source(sources.size());
+  for (const auto& [key, items] : groups) {
+    (void)key;
+    by_source[items.front().source].push_back(&items);
   }
+  std::vector<std::size_t> order;
+  for (std::size_t w = 0; w < sources.size(); ++w) {
+    if (!by_source[w].empty()) order.push_back(w);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&sources](std::size_t a, std::size_t b) {
+                     return sources[a].size() > sources[b].size();
+                   });
+  for (const std::size_t w : order) {
+    const auto* mine = &by_source[w];
+    const std::uint64_t submit_ns = obs::now_ns();
+    pool.submit([&pool, &run_group, mine, submit_ns] {
+      run_group(mine->front(), submit_ns);
+      for (std::size_t g = 1; g < mine->size(); ++g) {
+        const std::vector<Item>* group = (*mine)[g];
+        const std::uint64_t group_submit_ns = obs::now_ns();
+        pool.submit([&run_group, group, group_submit_ns] {
+          run_group(group, group_submit_ns);
+        });
+      }
+    });
+  }
+  pool.wait();
 
   if (!results_path.empty()) {
     std::error_code ec;
@@ -512,6 +543,8 @@ void publish_stats(const ServiceStats& s) {
   r.set_counter("pipeline.result_hits", s.result_hits);
   r.set_counter("pipeline.result_misses", s.result_misses);
   r.set_counter("pipeline.sim_dedup_hits", s.sim_dedup_hits);
+  r.set_counter("pipeline.module_waits", s.module_waits);
+  r.set_counter("pipeline.image_waits", s.image_waits);
   r.set_counter("pipeline.compiles", s.compiles());
   const auto fold = [&r](const char* name, const GranularityStats& g) {
     r.set_counter(cat("store.", name, ".hits"), g.hits);
@@ -553,6 +586,8 @@ ServiceStats Service::stats() const {
   s.sim_images = sim_images_;
   s.ir_lint_runs = ir_lint_runs_;
   s.sim_dedup_hits = sim_dedup_hits_;
+  s.module_waits = module_waits_;
+  s.image_waits = image_waits_;
   return s;
 }
 

@@ -76,6 +76,14 @@
 // text. The once body never throws, and the counters are atomics, so
 // no lock is held while work runs and mu_ guards only the module map.
 //
+// run_batch() does not rely on waiting for a Module: it runs each
+// source's first compile group before it queues the source's others
+// (docs/PIPELINE.md "The batch scheduler"), so only direct
+// compile_program / compile_listing callers can still meet on one (and,
+// with a partially warm store, groups behind a store-served first
+// group). Callers that parked on a Module or on a group's SimImage are
+// counted (ServiceStats::module_waits, image_waits).
+//
 // ## Determinism contract
 //
 // Batch outcomes are stored at their (source, config) slot and are pure
@@ -155,6 +163,12 @@ struct ServiceStats {
   /// Batch items answered by another item's simulation (same program
   /// content under the same sim_slice()).
   std::uint64_t sim_dedup_hits = 0;
+  /// Callers that found a source's optimised IR still being built by
+  /// another caller and parked until it was done.
+  std::uint64_t module_waits = 0;
+  /// Simulate tasks that parked while a sibling built their compile
+  /// group's SimImage.
+  std::uint64_t image_waits = 0;
 
   /// Total compilation-stage executions (any stage, any granularity).
   std::uint64_t compiles() const {
@@ -235,10 +249,12 @@ public:
   /// sources[w] on configs[p] lands at index `w * configs.size() + p`.
   /// One compile task per unique (source, codegen-slice) feeds the
   /// simulate tasks that depend on it through one shared thread pool;
-  /// items already answered by the result cache schedule no work at
-  /// all. The result cache lives as long as the Service: its file is
-  /// loaded on the first call and saved after every call, so a repeated
-  /// point is answered from memory. Per-item failures are captured in
+  /// each source's first compile task runs before its others are
+  /// queued, largest source first. Items already answered by the
+  /// result cache schedule no work at all. The result cache lives as
+  /// long as the Service: its file is loaded on the first call and
+  /// saved after every call, so a repeated point is answered from
+  /// memory. Per-item failures are captured in
   /// the RunOutcome; only infrastructure failures (unwritable
   /// store/cache) escape.
   std::vector<RunOutcome> run_batch(const std::vector<std::string>& sources,
@@ -275,23 +291,30 @@ private:
 
   /// One shared computation (header comment, "Sharing"): get() runs
   /// `make` for the first caller only, then returns its value or
-  /// rethrows what it threw. Lives in a map node, so its address is
-  /// stable.
+  /// rethrows what it threw. A caller that found the value still being
+  /// computed and did not compute it has waited; `waits`, if given,
+  /// counts it. Lives in a map node, so its address is stable.
   template <class T>
   struct Once {
     std::once_flag flag;
+    std::atomic<bool> done{false};
     T value{};
     std::exception_ptr error;
 
     template <class Make>
-    const T& get(Make&& make) {
+    const T& get(Make&& make, std::atomic<std::uint64_t>* waits = nullptr) {
+      const bool was_done = done.load();
+      bool ran = false;
       std::call_once(flag, [&] {
+        ran = true;
         try {
           value = make();
         } catch (...) {
           error = std::current_exception();
         }
+        done = true;
       });
+      if (waits && !was_done && !ran) ++*waits;
       if (error) std::rethrow_exception(error);
       return value;
     }
@@ -306,6 +329,8 @@ private:
   std::atomic<std::uint64_t> sim_images_{0};
   std::atomic<std::uint64_t> ir_lint_runs_{0};
   std::atomic<std::uint64_t> sim_dedup_hits_{0};
+  std::atomic<std::uint64_t> module_waits_{0};
+  std::atomic<std::uint64_t> image_waits_{0};
 };
 
 /// One-shot convenience: compile `source` for `config` with a fresh,

@@ -1,12 +1,16 @@
 // Fixed-size thread-pool executor shared by the whole compile/simulate
 // pipeline. Compile and simulate steps are submitted as separate tasks;
 // a task may submit further tasks from inside its body (that is how
-// dependency ordering is expressed: a compile task enqueues the
-// simulate tasks that need its artifact once it holds one), and wait()
-// blocks the submitter until the whole transitive set has drained. A
-// pool of size 1 spawns no threads at all and runs tasks inline in
-// submit(), so `--jobs 1` is a plain serial loop with zero
-// synchronisation overhead and trivially deterministic scheduling.
+// dependency ordering is expressed: a source's task runs its first
+// compile group and only then enqueues the source's other groups, and a
+// compile task enqueues the simulate tasks that need its artifact once
+// it holds one), and wait() blocks the submitter until the whole
+// transitive set has drained. The queue is FIFO: a nested submission
+// runs after every task queued before it, so the source tasks, queued
+// first, start ahead of the groups they fan out. A pool of size 1
+// spawns no threads at all and runs tasks inline in submit(), so
+// `--jobs 1` is a plain serial loop with zero synchronisation overhead
+// and trivially deterministic scheduling.
 #pragma once
 
 #include <condition_variable>

@@ -825,9 +825,8 @@ TEST(PublishStats, FoldsServiceCountersIntoRegistry) {
   pipeline::Service service;
   (void)service.compile_program(kQuietProg, ProcessorConfig{});
   service.publish_stats();
-  const auto counters = obs::Registry::instance().counters();
-  const auto get = [&](std::string_view name) -> std::uint64_t {
-    for (const auto& [k, v] : counters) {
+  const auto get = [](std::string_view name) -> std::uint64_t {
+    for (const auto& [k, v] : obs::Registry::instance().counters()) {
       if (k == name) return v;
     }
     ADD_FAILURE() << "missing counter " << name;
@@ -837,6 +836,15 @@ TEST(PublishStats, FoldsServiceCountersIntoRegistry) {
   EXPECT_EQ(get("pipeline.backend_runs"), 1u);
   EXPECT_EQ(get("pipeline.compiles"), 2u);
   EXPECT_EQ(get("store.program.puts"), 1u);
+  EXPECT_EQ(get("pipeline.module_waits"), 0u);
+  EXPECT_EQ(get("pipeline.image_waits"), 0u);
+  // The wait counters fold each under its own name.
+  pipeline::ServiceStats waited;
+  waited.module_waits = 3;
+  waited.image_waits = 5;
+  pipeline::publish_stats(waited);
+  EXPECT_EQ(get("pipeline.module_waits"), 3u);
+  EXPECT_EQ(get("pipeline.image_waits"), 5u);
 }
 
 TEST(BatchSpans, QueueWaitRecordedAcrossThreadPool) {

@@ -21,6 +21,7 @@
 #include "serial/serial.hpp"
 #include "support/bits.hpp"
 #include "support/error.hpp"
+#include "workloads/workloads.hpp"
 
 namespace cepic::pipeline {
 namespace {
@@ -671,6 +672,108 @@ TEST(Service, FailingSourceFailsOnceAndSparesTheBatch) {
     expect_same_outcome(outcomes[i], serial[i], i);
   }
   EXPECT_EQ(service.stats().frontend_runs, 1u);  // kProg only
+}
+
+TEST(Service, BatchNeverWaitsOnAFrontend) {
+  // A 2000-statement source and a small one over eight codegen slices
+  // at jobs 4: each source's first compile group builds its Module
+  // before the source's other groups are queued, so no group task
+  // parks on another task's frontend, however the workers interleave.
+  const std::vector<std::string> sources{
+      workloads::make_straight_line(1, 2000), kProg};
+  std::vector<ProcessorConfig> configs;
+  for (unsigned alus = 1; alus <= 4; ++alus) {
+    for (const bool forwarding : {false, true}) {
+      ProcessorConfig cfg;
+      cfg.num_alus = alus;
+      cfg.forwarding = forwarding;
+      configs.push_back(cfg);
+    }
+  }
+  Options options;
+  options.jobs = 4;
+  Service service(options);
+  const auto outcomes = service.run_batch(sources, configs);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.module_waits, 0u);
+  EXPECT_EQ(stats.frontend_runs, 2u);
+  EXPECT_EQ(stats.backend_runs, 16u);
+  const auto serial = Service().run_batch(sources, configs);
+  ASSERT_EQ(outcomes.size(), serial.size());
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    ASSERT_TRUE(serial[i].ok) << serial[i].error;
+    expect_same_outcome(outcomes[i], serial[i], i);
+  }
+}
+
+TEST(Service, MixedSizeBatchIsIdenticalForAnyJobsCount) {
+  // Sources of different sizes, one of which does not compile, over
+  // two codegen slices with two simulation-only variants each: the
+  // largest-first source order and the fan-out change which worker
+  // runs what, never an outcome.
+  const std::vector<std::string> sources{
+      kProg, workloads::make_straight_line(2, 300),
+      "int main() { return 1 + ; }", kProg2,
+      workloads::make_straight_line(3, 150)};
+  std::vector<ProcessorConfig> configs;
+  for (unsigned alus = 1; alus <= 2; ++alus) {
+    for (const unsigned stages : {2u, 3u}) {
+      ProcessorConfig cfg;
+      cfg.num_alus = alus;
+      cfg.pipeline_stages = stages;
+      configs.push_back(cfg);
+    }
+  }
+  const auto serial = Service().run_batch(sources, configs);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].ok, i / configs.size() != 2) << i << serial[i].error;
+  }
+  for (const unsigned jobs : {2u, 3u, 8u}) {
+    SCOPED_TRACE(jobs);
+    Options options;
+    options.jobs = jobs;
+    Service service(options);
+    const auto outcomes = service.run_batch(sources, configs);
+    ASSERT_EQ(outcomes.size(), serial.size());
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      EXPECT_EQ(outcomes[i].error, serial[i].error) << i;
+      expect_same_outcome(outcomes[i], serial[i], i);
+    }
+    EXPECT_EQ(service.stats().frontend_runs, 4u);
+    EXPECT_EQ(service.stats().backend_runs, 8u);
+  }
+}
+
+TEST(Service, PartiallyWarmStoreMatchesASerialColdRun) {
+  // One config's Program is already stored; the batch's other four
+  // codegen slices compile against the IR the store serves. Whichever
+  // group a source task runs first, the outcomes are the cold ones.
+  const std::string dir = scratch_dir("partly_warm");
+  std::vector<ProcessorConfig> configs;
+  for (unsigned alus = 1; alus <= 5; ++alus) {
+    ProcessorConfig cfg;
+    cfg.num_alus = alus;
+    configs.push_back(cfg);
+  }
+  Options options;
+  options.store_dir = dir;
+  (void)Service(options).compile_program(kProg, configs[2]);
+  options.jobs = 4;
+  Service service(options);
+  const auto outcomes = service.run_batch({kProg}, configs);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.store.program.hits, 1u);
+  EXPECT_EQ(stats.store.program.misses, 4u);
+  EXPECT_EQ(stats.backend_runs, 4u);
+  EXPECT_EQ(stats.frontend_runs, 0u);
+  EXPECT_EQ(stats.module_decodes, 1u);
+  const auto serial = Service().run_batch({kProg}, configs);
+  ASSERT_EQ(outcomes.size(), serial.size());
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    ASSERT_TRUE(serial[i].ok) << serial[i].error;
+    expect_same_outcome(outcomes[i], serial[i], i);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Service, SimVisibleVariantsAreNeverDeduped) {

@@ -371,7 +371,9 @@ inline void print_cache_stats(const char* tool,
             << " result-hits=" << get("pipeline.result_hits")
             << " result-misses=" << get("pipeline.result_misses")
             << " sim-dedup=" << get("pipeline.sim_dedup_hits")
-            << " ir-lint=" << get("pipeline.ir_lint_runs") << "\n";
+            << " ir-lint=" << get("pipeline.ir_lint_runs")
+            << " module-waits=" << get("pipeline.module_waits")
+            << " image-waits=" << get("pipeline.image_waits") << "\n";
   granularity("ir");
   granularity("program");
   granularity("irlint");
